@@ -30,9 +30,10 @@ from .dataset import (
 )
 from .errors import InvalidInputError, MidasError
 from .labels import filter_unresolved
-from .metrics import coexistence, coexistence_to_csv, confusion_to_csv, report
+from .metrics import coexistence, coexistence_to_csv, report
 from .mixer import midas_batch
 from .model import (
+    LABEL_MODES,
     Classifier,
     TrainConfig,
     evaluate,
@@ -43,11 +44,11 @@ from .model import (
     train,
 )
 from .synth import SynthConfig, generate
-from .vicinal import empirical_risk, vicinal_risk
+from .vicinal import LABEL_MODES as MIX_LABEL_MODES, empirical_risk, vicinal_risk
 
 DEFAULT_GRID = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
-_CLI_LABEL_MODES = ("hard", "soft", "midas", "midas-hard")
+_CLI_LABEL_MODES = tuple(m.replace("_", "-") for m in LABEL_MODES)
 
 
 def _default_seed() -> int:
@@ -258,26 +259,18 @@ def cmd_mix(args) -> int:
         normalize=args.normalize == "on",
     )
     by_id = {e.clip.clip_id: e for e in dataset.entries}
-    clips = []
-    votes = []
+    entries = []
     sidecar = []
     for k, s in enumerate(batch.samples):
         # Mixed labels are not vote averages; the manifest keeps the dominant
         # source's votes for format compatibility and the sidecar holds the
         # authoritative mixing record.
         dominant = by_id[s.source_i if s.lam >= 0.5 else s.source_j]
-        clips.append(replace(s.clip, clip_id=f"mix-{k:05d}"))
-        votes.append(dominant.votes)
-        sidecar.append(
-            {
-                "lambda": s.lam,
-                "source_i": s.source_i,
-                "source_j": s.source_j,
-                "label_mode": args.labels,
-            }
-        )
+        entries.append(make_entry(replace(s.clip, clip_id=f"mix-{k:05d}"), dominant.votes))
+        sidecar.append({"lambda": s.lam, "source_i": s.source_i, "source_j": s.source_j,
+                        "label_mode": args.labels})
     mixed = LabeledDataset(
-        entries=tuple(make_entry(c, v) for c, v in zip(clips, votes)),
+        entries=tuple(entries),
         class_count=dataset.class_count,
         class_names=dataset.class_names,
         provenance=f"mix(seed={args.seed})",
@@ -423,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="mixed manifest path")
     p.add_argument("--n", type=int, default=None,
                    help="sample count (default: dataset size)")
-    p.add_argument("--labels", choices=("soft", "hard"), default="soft")
+    p.add_argument("--labels", choices=MIX_LABEL_MODES, default="soft")
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--normalize", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=seed)
@@ -434,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--draws", type=int, default=1000)
-    p.add_argument("--labels", choices=("soft", "hard"), default="soft")
+    p.add_argument("--labels", choices=MIX_LABEL_MODES, default="soft")
     p.add_argument("--empirical", action="store_true",
                    help="average over the dataset instead of mixed draws")
     p.add_argument("--out", default=None, help="JSON path (default: stdout)")

@@ -263,7 +263,7 @@ def save_manifest(dataset: LabeledDataset, path) -> None:
     records = []
     for k, e in enumerate(dataset.entries):
         rel = f"{_clips_dirname(path)}/{k:05d}.mdsc"
-        write_clip_file(e.clip.frames, path.parent / f"{_clips_dirname(path)}/{k:05d}.mdsc")
+        write_clip_file(e.clip.frames, path.parent / rel)
         record: dict = {
             "clip_id": e.clip.clip_id,
             "clip_file": rel,
@@ -499,10 +499,5 @@ def max_vote_histogram(dataset: LabeledDataset) -> np.ndarray:
     Bucket ``k`` counts the clips whose most-voted class received exactly
     ``k`` votes; the buckets sum to the dataset size.
     """
-    if not dataset.entries:
-        return np.zeros(1, dtype=np.int64)
     maxima = [int(e.votes.counts.max()) for e in dataset.entries]
-    hist = np.zeros(max(maxima) + 1, dtype=np.int64)
-    for m in maxima:
-        hist[m] += 1
-    return hist
+    return np.bincount(maxima, minlength=1).astype(np.int64)

@@ -29,6 +29,9 @@ NUM_CLASSES = len(CLASS_NAMES)
 #: Agreement tolerance between a stored soft label and the vote average.
 SOFT_LABEL_ATOL = 1e-9
 
+#: Floor applied to a probability before its logarithm is taken.
+LOG_CLAMP = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class VoteRecord:
@@ -134,16 +137,17 @@ def filter_unresolved(dataset: "LabeledDataset") -> "LabeledDataset":
 
 
 def renormalize_softmax(vec) -> np.ndarray:
-    """Softmax of ``vec``: ``exp(v_c) / sum_k exp(v_k)``.
-
-    The maximum component is subtracted before exponentiation, which leaves
-    the result unchanged but cannot overflow.
-    """
+    """Softmax of a finite 1-d ``vec``: ``exp(v_c) / sum_k exp(v_k)``, as in ``softmax_rows``."""
     v = np.asarray(vec, dtype=np.float64)
     if v.ndim != 1 or not np.all(np.isfinite(v)):
         raise InvalidInputError("softmax input must be a finite 1-d vector")
-    shifted = np.exp(v - v.max())
-    return shifted / shifted.sum()
+    return softmax_rows(v[None, :])[0]
+
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a (B, C) matrix; each row is max-shifted so exp cannot overflow."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def decompose(soft: np.ndarray, votes: VoteRecord, true_class: int) -> LabelDecomposition:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,13 +24,11 @@ from .errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from .labels import one_hot
+from .labels import LOG_CLAMP, softmax_rows
 from .metrics import confusion, uar, war
 from .mixer import midas_batch
 
 LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
-
-PRED_CLAMP = 1e-12
 
 _CKPT_MAGIC = b"MDSW"
 
@@ -87,18 +86,8 @@ class TrainConfig:
             raise InvalidInputError(f"target_hw must be two positive ints, got {self.target_hw}")
 
     def hash(self) -> str:
-        doc = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "alpha": self.alpha,
-            "label_mode": self.label_mode,
-            "seed": self.seed,
-            "normalize": self.normalize,
-            "hidden": list(self.hidden),
-            "target_hw": list(self.target_hw),
-        }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+        doc = json.dumps(asdict(self), sort_keys=True)
+        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 @dataclass(eq=False)
@@ -173,24 +162,11 @@ def featurize(clip: Clip, target_hw: tuple[int, int]) -> FeatureVector:
     Every output component is a fixed-weight average of input pixels, so the
     map is linear in the clip.
     """
-    h, w = int(target_hw[0]), int(target_hw[1])
-    t, height, width, ch = clip.shape
-    if h < 1 or w < 1 or h > height or w > width:
-        raise InvalidInputError(
-            f"target {h}x{w} outside [1, {height}]x[1, {width}]"
-        )
-    mean = clip.frames.astype(np.float64).mean(axis=0)
-    rows = _block_starts(height, h)
-    row_sizes = np.diff(np.append(rows, height))
-    pooled = np.add.reduceat(mean, rows, axis=0) / row_sizes[:, None, None]
-    cols = _block_starts(width, w)
-    col_sizes = np.diff(np.append(cols, width))
-    pooled = np.add.reduceat(pooled, cols, axis=1) / col_sizes[None, :, None]
-    return FeatureVector(values=pooled.reshape(-1))
+    return FeatureVector(values=featurize_frames(clip.frames[None], target_hw)[0])
 
 
 def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
-    """Batched featurize over a (B, T, H, W, Ch) stack; returns (B, D)."""
+    """``featurize`` over a (B, T, H, W, Ch) stack; returns (B, D)."""
     h, w = int(target_hw[0]), int(target_hw[1])
     _, _, height, width, _ = frames.shape
     if h < 1 or w < 1 or h > height or w > width:
@@ -208,20 +184,12 @@ def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarr
 def featurize_dataset(dataset: LabeledDataset, target_hw: tuple[int, int]) -> np.ndarray:
     if not dataset.entries:
         raise EmptyDatasetError("cannot featurize an empty dataset")
-    return featurize_frames(
-        np.stack([e.clip.frames for e in dataset.entries]), target_hw
-    )
+    return featurize_frames(np.stack([e.clip.frames for e in dataset.entries]), target_hw)
 
 
 # ---------------------------------------------------------------------------
 # Forward / loss / gradient
 # ---------------------------------------------------------------------------
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
 
 def _forward_cached(model: Classifier, x: np.ndarray):
     """Returns (probabilities, per-layer activations including the input)."""
@@ -230,7 +198,7 @@ def _forward_cached(model: Classifier, x: np.ndarray):
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
-        a = _softmax_rows(z) if k == last else np.tanh(z)
+        a = softmax_rows(z) if k == last else np.tanh(z)
         acts.append(a)
     return a, acts
 
@@ -262,12 +230,12 @@ def soft_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"pred {pred.shape} vs target {target.shape}")
-    return float(-np.sum(target * np.log(np.clip(pred, PRED_CLAMP, None))))
+    return _batch_loss(pred[None], target[None])
 
 
 def _batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(
-        -np.sum(targets * np.log(np.clip(probs, PRED_CLAMP, None))) / probs.shape[0]
+        -np.sum(targets * np.log(np.clip(probs, LOG_CLAMP, None))) / probs.shape[0]
     )
 
 
@@ -304,14 +272,6 @@ def gradient(model: Classifier, features: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-def _hard_targets(dataset: LabeledDataset) -> np.ndarray:
-    return np.stack([one_hot(e.hard, dataset.class_count) for e in dataset.entries])
-
-
-def _soft_targets(dataset: LabeledDataset) -> np.ndarray:
-    return np.stack([e.soft for e in dataset.entries])
-
 
 def evaluate(model: Classifier, dataset: LabeledDataset, target_hw) -> tuple[float, float]:
     """(UAR, WAR) of argmax predictions against hard labels."""
@@ -354,9 +314,9 @@ def train(
 
     fixed_targets = None
     if config.label_mode == "hard":
-        fixed_targets = _hard_targets(dataset)
+        fixed_targets = np.eye(dataset.class_count)[[e.hard for e in dataset.entries]]
     elif config.label_mode == "soft":
-        fixed_targets = _soft_targets(dataset)
+        fixed_targets = np.stack([e.soft for e in dataset.entries])
     mix_source = hard_relabeled(dataset) if config.label_mode == "midas_hard" else dataset
 
     losses = np.empty(config.epochs, dtype=np.float64)
@@ -430,9 +390,15 @@ def save_checkpoint(model: Classifier, path, config: TrainConfig | None = None) 
     for w, b in zip(model.weights, model.biases):
         blocks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
         blocks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fp:
         fp.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fp.write(b"".join(blocks))
+
+
+def _positive_ints(value) -> bool:
+    """A JSON array of integers >= 1; JSON true/false are not integers here."""
+    return isinstance(value, list) and all(type(v) is int and v >= 1 for v in value)
 
 
 def load_checkpoint(path) -> tuple[Classifier, dict]:
@@ -451,11 +417,7 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
     if not isinstance(header, dict) or header.get("format") != _CKPT_MAGIC.decode("ascii"):
         raise MalformedRecordError("not a classifier checkpoint")
     sizes = header.get("layer_sizes")
-    if (
-        not isinstance(sizes, list)
-        or len(sizes) < 2
-        or not all(isinstance(s, int) and s >= 1 for s in sizes)
-    ):
+    if not _positive_ints(sizes) or len(sizes) < 2:
         raise MalformedRecordError("checkpoint layer_sizes missing or invalid")
     expected = sum(
         d_in * d_out + d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])
@@ -473,11 +435,14 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
         pos += d_in * d_out
         biases.append(flat[pos:pos + d_out].copy())
         pos += d_out
+    target_hw = header.get("target_hw", [4, 4])
+    if not _positive_ints(target_hw) or len(target_hw) != 2:
+        raise MalformedRecordError(f"checkpoint target_hw must be two ints >= 1, got {target_hw!r}")
     model = Classifier(
         weights=weights, biases=biases, activation=header.get("activation", "tanh")
     )
     meta = {
         "config_hash": str(header.get("config_hash", "")),
-        "target_hw": tuple(header.get("target_hw", (4, 4))),
+        "target_hw": tuple(target_hw),
     }
     return model, meta

@@ -17,7 +17,9 @@ import numpy as np
 
 from .dataset import Clip, LabeledDataset, build_dataset
 from .errors import InvalidInputError
-from .labels import CLASS_NAMES, VoteRecord, as_soft_label, filter_unresolved
+from .labels import (
+    CLASS_NAMES, LOG_CLAMP, VoteRecord, as_soft_label, filter_unresolved, softmax_rows,
+)
 
 DRIFT_AMPLITUDE = 0.1
 
@@ -85,10 +87,7 @@ def simulate_annotators(
     if not np.isfinite(tau) or tau <= 0.0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     mixture = as_soft_label(true_mixture)
-    logits = np.log(np.clip(mixture, 1e-12, None)) / tau
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
+    p = softmax_rows(np.log(np.clip(mixture, LOG_CLAMP, None))[None] / tau)[0]
     counts = rng.multinomial(annotators, p)
     return VoteRecord(counts.astype(np.int64))
 

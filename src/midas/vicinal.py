@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, hard_relabeled
 from .errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
 from .labels import LabelDecomposition, as_soft_label, one_hot
 from .mixer import midas_batch
+from .model import soft_cross_entropy as cross_entropy
 
 LABEL_MODES = ("soft", "hard")
 
@@ -55,12 +56,6 @@ class VicinalParams:
             raise InvalidInputError(f"virtual label sums to {total}, expected 1")
 
 
-def cross_entropy(prediction: np.ndarray, label: np.ndarray) -> float:
-    """Soft cross-entropy -sum(label * ln(prediction)) with clamped log input."""
-    p = np.clip(np.asarray(prediction, dtype=np.float64), 1e-12, None)
-    return float(-np.sum(np.asarray(label, dtype=np.float64) * np.log(p)))
-
-
 def _estimate_from_losses(losses: np.ndarray) -> RiskEstimate:
     m = losses.size
     value = float(losses.mean())
@@ -93,23 +88,28 @@ def vicinal_risk(
     sources' soft labels, "hard" blends one-hot encodings of their hard
     labels. Either way the blend is the plain convex combination, without
     softmax renormalization. Deterministic given the generator state.
+
+    Draws are made and scored one pass over the dataset at a time. That
+    yields the same pairs and weights as one ``midas_batch`` call of
+    ``draws`` samples, while memory grows with the dataset, not with
+    ``draws``.
     """
     if draws < 1:
         raise InvalidInputError(f"draws must be >= 1, got {draws}")
     if label_mode not in LABEL_MODES:
         raise InvalidInputError(f"label_mode must be one of {LABEL_MODES}, got {label_mode!r}")
-    batch = midas_batch(dataset, batch_size=draws, alpha=alpha, rng=rng, normalize=False)
-    hard_by_id = {e.clip.clip_id: e.hard for e in dataset.entries}
+    # One-hot soft labels blend into exactly lam * onehot_i + (1 - lam) * onehot_j.
+    source = hard_relabeled(dataset) if label_mode == "hard" else dataset
+    n = len(source)
     losses = np.empty(draws, dtype=np.float64)
-    for k, s in enumerate(batch.samples):
-        if label_mode == "soft":
-            target = s.label
-        else:
-            c = dataset.class_count
-            target = s.lam * one_hot(hard_by_id[s.source_i], c) + (1.0 - s.lam) * one_hot(
-                hard_by_id[s.source_j], c
-            )
-        losses[k] = loss(predictor(s.clip), target)
+    for done in range(0, draws, max(n, 1)):
+        batch = midas_batch(
+            source, batch_size=min(n, draws - done), alpha=alpha, rng=rng, normalize=False
+        )
+        losses[done:done + len(batch.lams)] = [
+            loss(predictor(s.clip), s.label) for s in batch.samples
+        ]
+        del batch  # let this pass's clips go before the next pass is drawn
     return _estimate_from_losses(losses)
 
 

@@ -168,6 +168,14 @@ class TestTrain:
         history = json.loads((tmp_path / "m.ckpt.history.json").read_text())
         assert history["loss"] == pytest.approx([history["loss"][0]] * 4, abs=1e-12)
 
+    def test_creates_missing_output_directory(self, split_corpus, tmp_path, capsys):
+        train_path, val_path = split_corpus
+        out = tmp_path / "missing" / "m.ckpt"
+        code, _, _ = _run(capsys, *_train_args(train_path, val_path, out))
+        assert code == 0
+        load_checkpoint(out)
+        assert (tmp_path / "missing" / "m.ckpt.history.json").exists()
+
     def test_custom_history_path(self, split_corpus, tmp_path, capsys):
         train_path, val_path = split_corpus
         code, _, _ = _run(capsys, *_train_args(train_path, val_path,
@@ -222,6 +230,21 @@ class TestEval:
                             "--manifest", str(tiny_path))
         assert code == 1
         assert err.startswith("error:")
+
+
+    def test_malformed_target_hw_is_an_error(self, split_corpus, tmp_path, capsys):
+        train_path, val_path = split_corpus
+        ckpt = tmp_path / "m.ckpt"
+        _run(capsys, *_train_args(train_path, val_path, ckpt))
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["target_hw"] = "ab"
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        code, _, err = _run(capsys, "eval", "--checkpoint", str(ckpt),
+                            "--manifest", str(val_path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestSweepAlpha:

@@ -13,6 +13,7 @@ from midas.errors import (
     InvalidInputError,
     ShapeMismatchError,
 )
+from midas.dataset import Clip
 from midas.labels import one_hot
 from midas.mixer import (
     DEFAULT_ALPHA,
@@ -22,6 +23,7 @@ from midas.mixer import (
     mix_labels,
     sample_lambda,
 )
+from midas.model import TrainConfig, train
 
 from conftest import make_clip, make_dataset, soft_labels, unanimous_rows
 
@@ -209,3 +211,73 @@ class TestMidasBatch:
         ds = make_dataset([[5, 5, 0], [6, 4, 0]])
         with pytest.raises(AmbiguousLabelError):
             midas_batch(ds, batch_size=2, alpha=0.8, rng=rng)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, rng, alpha):
+        with pytest.raises(InvalidInputError):
+            midas_batch(self._dataset(), batch_size=4, alpha=alpha, rng=rng)
+
+    def test_samples_are_views_of_the_arrays(self, rng):
+        batch = midas_batch(self._dataset(), batch_size=5, alpha=0.8, rng=rng)
+        for k, s in enumerate(batch.samples):
+            assert np.shares_memory(s.clip.frames, batch.clips[k])
+            assert s.lam == batch.lams[k]
+        assert batch.samples is batch.samples
+
+
+def _per_pair_oracle(dataset, batch_size, alpha, rng, normalize):
+    """midas_batch drawn and blended one pair at a time from the public helpers."""
+    n = len(dataset)
+    samples = []
+    while len(samples) < batch_size:
+        perm = rng.permutation(n)
+        offset = int(rng.integers(0, n - 1))
+        for k in range(min(n, batch_size - len(samples))):
+            a = dataset.entries[int(perm[k])]
+            b = dataset.entries[int(perm[(k + 1 + offset) % n])]
+            lam = sample_lambda(alpha, rng).lam
+            samples.append((
+                mix_clips(a.clip, b.clip, lam),
+                mix_labels(a.soft, b.soft, lam, normalize=normalize),
+                lam,
+            ))
+    return samples
+
+
+class TestMidasBatchMatchesPerPairOracle:
+    N = 12
+    # 8x32x32x3 clips hold 192 KiB of float64 each, so a batch of 12 or more
+    # spans several blend chunks.
+    SHAPE = (8, 32, 32, 3)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        rows = np.random.default_rng(1).multinomial(10, np.full(4, 0.25), size=self.N)
+        rows[np.arange(self.N), np.arange(self.N) % 4] += 11  # unique maxima
+        return make_dataset(rows, shape=self.SHAPE, seed=2)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, N - 1, N, 2 * N + N // 3])
+    @pytest.mark.parametrize("alpha", [0.2, 1.6])
+    def test_array_equal(self, dataset, normalize, batch_size, alpha):
+        batch = midas_batch(dataset, batch_size, alpha, np.random.default_rng(5), normalize)
+        oracle = _per_pair_oracle(dataset, batch_size, alpha, np.random.default_rng(5), normalize)
+        np.testing.assert_array_equal(batch.clips, np.stack([c.frames for c, _, _ in oracle]))
+        np.testing.assert_array_equal(batch.labels, np.stack([y for _, y, _ in oracle]))
+        np.testing.assert_array_equal(batch.lams, [lam for _, _, lam in oracle])
+        assert [s.clip.clip_id for s in batch.samples] == [c.clip_id for c, _, _ in oracle]
+
+
+def test_train_in_midas_mode_constructs_no_clip(monkeypatch):
+    ds = make_dataset(unanimous_rows([k % 3 for k in range(9)], class_count=3))
+    made = []
+    original = Clip.__post_init__
+
+    def counting(self):
+        made.append(self.clip_id)
+        original(self)
+
+    monkeypatch.setattr(Clip, "__post_init__", counting)
+    for mode in ("midas", "midas_hard"):
+        train(ds, TrainConfig(epochs=3, label_mode=mode, hidden=(4,), target_hw=(2, 2)))
+    assert made == []

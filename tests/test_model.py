@@ -407,3 +407,18 @@ class TestCheckpoint:
         path.write_bytes(blob + b"\x00\x00\x00\x00")
         with pytest.raises(MalformedRecordError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_hw", "ab"), ("target_hw", [4]), ("target_hw", [4, 4, 4]),
+        ("target_hw", [0, 4]), ("target_hw", [4, 2.0]), ("target_hw", [True, 4]),
+        ("layer_sizes", [6, True, 3]),
+    ])
+    def test_rejects_invalid_header_sizes(self, rng, tmp_path, key, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_classifier(6, 3, (1,), rng), path, TrainConfig())
+        header, blob = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc[key] = value
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+        with pytest.raises(MalformedRecordError):
+            load_checkpoint(path)

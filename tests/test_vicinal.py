@@ -1,6 +1,7 @@
 """Risk estimators and the blend-weight reparameterization identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from midas.dataset import LabeledDataset, build_dataset
 from midas.errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
-from midas.labels import LabelDecomposition, VoteRecord, decompose, one_hot
+from midas.labels import LabelDecomposition, VoteRecord, decompose, one_hot, renormalize_softmax
+from midas.mixer import midas_batch
 from midas.vicinal import (
     RiskEstimate,
     check_vicinal_identity,
@@ -163,6 +165,44 @@ class TestVicinalRisk:
             vicinal_risk(self._uniform_predictor(2), ds, 0.8, 0, "soft", rng)
         with pytest.raises(InvalidInputError):
             vicinal_risk(self._uniform_predictor(2), ds, 0.8, 5, "weird", rng)
+
+
+    @staticmethod
+    def _pixel_predictor(clip):
+        return renormalize_softmax(4.0 * clip.frames.reshape(-1)[:3])
+
+    @pytest.mark.parametrize("label_mode", ["soft", "hard"])
+    def test_equals_one_shot_oracle(self, label_mode):
+        ds = make_dataset([[6, 4, 0], [1, 8, 1], [0, 2, 8], [5, 3, 2], [2, 1, 7], [7, 2, 1]])
+        draws = 3 * len(ds) + 2
+        est = vicinal_risk(self._pixel_predictor, ds, 0.8, draws, label_mode,
+                           np.random.default_rng(11))
+        batch = midas_batch(ds, batch_size=draws, alpha=0.8, rng=np.random.default_rng(11),
+                            normalize=False)
+        hard = {e.clip.clip_id: e.hard for e in ds.entries}
+        losses = []
+        for s in batch.samples:
+            target = s.label if label_mode == "soft" else (
+                s.lam * one_hot(hard[s.source_i], 3) + (1 - s.lam) * one_hot(hard[s.source_j], 3)
+            )
+            losses.append(cross_entropy(self._pixel_predictor(s.clip), target))
+        losses = np.array(losses)
+        assert est.num_terms == draws
+        assert est.value == losses.mean()
+        assert est.stderr == losses.std(ddof=1) / np.sqrt(draws)
+
+    def test_memory_does_not_grow_with_draws(self):
+        ds = make_dataset(unanimous_rows([k % 3 for k in range(20)], class_count=3),
+                          shape=(8, 32, 32, 3))
+        frame_bytes = sum(e.clip.frames.nbytes for e in ds.entries)
+        tracemalloc.start()
+        try:
+            vicinal_risk(self._uniform_predictor(), ds, 0.8, 50 * len(ds), "hard",
+                         np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * frame_bytes
 
 
 class TestReparameterize:
