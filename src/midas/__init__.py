@@ -24,7 +24,6 @@ from .labels import (
     decompose,
     filter_unresolved,
     hard_label_of,
-    has_unique_max,
     one_hot,
     renormalize_softmax,
 )
@@ -36,7 +35,6 @@ from .dataset import (
     build_dataset,
     hard_relabeled,
     load_manifest,
-    make_entry,
     max_vote_histogram,
     partition_by_ambiguity,
     save_manifest,

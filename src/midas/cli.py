@@ -22,7 +22,6 @@ from .dataset import (
     LabeledDataset,
     hard_relabeled,
     load_manifest,
-    make_entry,
     max_vote_histogram,
     partition_by_ambiguity,
     save_manifest,
@@ -216,19 +215,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ambiguity_ablation(args) -> int:
-    dataset = load_manifest(args.manifest)
-    pair = stratified_split(dataset, ratio=args.ratio, seed=args.seed)
+    pair = stratified_split(load_manifest(args.manifest), ratio=args.ratio, seed=args.seed)
+    validation = pair.validation
     clear, mixed = partition_by_ambiguity(
         pair.train, threshold=args.threshold, balance=True, seed=args.seed
     )
+    del pair  # the groups hold copies of their clips, so the train side can go
     rows = []
     for group_name, group in (("clear", clear), ("mixed", mixed)):
         for mode in ("soft", "midas"):
             config = _train_config(args, label_mode=mode)
-            model, _ = train(group, config, validation=pair.validation)
-            v_uar, v_war = evaluate(
-                _quantized(model), pair.validation, config.target_hw
-            )
+            model, _ = train(group, config, validation=validation)
+            v_uar, v_war = evaluate(_quantized(model), validation, config.target_hw)
             rows.append(
                 {"group": group_name, "labels": mode, "uar": v_uar, "war": v_war}
             )
@@ -258,23 +256,20 @@ def cmd_mix(args) -> int:
         rng=rng,
         normalize=args.normalize == "on",
     )
-    by_id = {e.clip.clip_id: e for e in dataset.entries}
-    entries = []
-    sidecar = []
-    for k, s in enumerate(batch.samples):
-        # Mixed labels are not vote averages; the manifest keeps the dominant
-        # source's votes for format compatibility and the sidecar holds the
-        # authoritative mixing record.
-        dominant = by_id[s.source_i if s.lam >= 0.5 else s.source_j]
-        entries.append(make_entry(replace(s.clip, clip_id=f"mix-{k:05d}"), dominant.votes))
-        sidecar.append({"lambda": s.lam, "source_i": s.source_i, "source_j": s.source_j,
-                        "label_mode": args.labels})
+    # Mixed labels are not vote averages; the manifest keeps the dominant
+    # source's votes for format compatibility and the sidecar holds the
+    # authoritative mixing record.
+    dominant = np.where(batch.lams >= 0.5, batch.left, batch.right)
     mixed = LabeledDataset(
-        entries=tuple(entries),
-        class_count=dataset.class_count,
+        batch.clips, dataset.votes[dominant], tuple(f"mix-{k:05d}" for k in range(count)),
         class_names=dataset.class_names,
         provenance=f"mix(seed={args.seed})",
     )
+    sidecar = [
+        {"lambda": lam, "source_i": dataset.ids[i], "source_j": dataset.ids[j],
+         "label_mode": args.labels}
+        for lam, i, j in zip(batch.lams.tolist(), batch.left.tolist(), batch.right.tolist())
+    ]
     save_manifest(mixed, args.out)
     sidecar_path = Path(args.out).with_suffix(".sidecar.json")
     sidecar_path.write_text(

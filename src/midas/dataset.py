@@ -20,10 +20,11 @@ row-major, channel-last order.
 from __future__ import annotations
 
 import json
-import logging
 import math
+import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +40,7 @@ from .errors import (
     TensorShapeError,
     VoteLabelMismatchError,
 )
-from .labels import (
-    CLASS_NAMES,
-    NUM_CLASSES,
-    SOFT_LABEL_ATOL,
-    VoteRecord,
-    aggregate_votes,
-    has_unique_max,
-    hard_label_of,
-)
-
-logger = logging.getLogger(__name__)
+from .labels import CLASS_NAMES, SOFT_LABEL_ATOL, VoteRecord
 
 CLIP_MAGIC = b"MDSC"
 _CLIP_HEADER = struct.Struct("<4s5I")
@@ -98,54 +89,98 @@ class DatasetEntry:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Immutable collection of labeled clips sharing one tensor geometry."""
+    """Immutable columnar collection of labeled clips sharing one tensor geometry.
 
-    entries: tuple[DatasetEntry, ...]
-    class_count: int = NUM_CLASSES
+    Row k of ``frames`` (N, T, H, W, Ch) float32 and of ``votes`` (N, C)
+    int64 is clip ``ids[k]``, tagged ``scenarios[k]`` (None when untagged).
+    ``soft`` (N, C) and ``hard`` (N,) are derived from the votes on
+    construction; ``hard`` is -1 where the top vote count is tied.
+    """
+
+    frames: np.ndarray = field(repr=False)
+    votes: np.ndarray = field(repr=False)
+    ids: tuple[str, ...] = field(repr=False)
+    scenarios: tuple[str | None, ...] | None = field(default=None, repr=False)
     class_names: tuple[str, ...] = CLASS_NAMES
     provenance: str = ""
+    soft: np.ndarray = field(init=False, repr=False)
+    hard: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if len(self.class_names) != self.class_count:
+        frames = np.asarray(self.frames, dtype=np.float32)
+        votes = np.asarray(self.votes, dtype=np.int64)
+        ids = tuple(self.ids)
+        n = len(ids)
+        scenarios = (None,) * n if self.scenarios is None else tuple(self.scenarios)
+        class_names = tuple(self.class_names)
+        if frames.ndim != 5 or min(frames.shape[1:]) < 1:
             raise InvalidInputError(
-                f"{len(self.class_names)} class names for class_count={self.class_count}"
+                f"frames must have shape (N, T, H, W, Ch) with T, H, W, Ch >= 1, got {frames.shape}"
             )
-        shape = None
-        for e in entries:
-            if e.votes.counts.size != self.class_count:
-                raise InvalidInputError(
-                    f"clip {e.clip.clip_id!r}: vote vector length {e.votes.counts.size} != C={self.class_count}"
-                )
-            derived = aggregate_votes(e.votes)
-            if np.max(np.abs(e.soft - derived)) > SOFT_LABEL_ATOL:
-                raise InvalidInputError(
-                    f"clip {e.clip.clip_id!r}: soft label disagrees with vote average"
-                )
-            expected_hard = hard_label_of(derived) if has_unique_max(e.votes.counts) else None
-            if e.hard != expected_hard:
-                raise InvalidInputError(
-                    f"clip {e.clip.clip_id!r}: hard label {e.hard} != derived {expected_hard}"
-                )
-            if shape is None:
-                shape = e.clip.shape
-            elif e.clip.shape != shape:
-                raise TensorShapeError(
-                    f"clip tensor {e.clip.shape} differs from dataset tensor {shape}",
-                    clip_id=e.clip.clip_id,
-                )
+        if not class_names:
+            raise InvalidInputError("a dataset needs at least one class name")
+        if votes.ndim != 2 or len(votes) != n or len(frames) != n or len(scenarios) != n:
+            raise InvalidInputError(
+                f"{len(frames)} clips, votes {votes.shape} and {len(scenarios)} scenarios "
+                f"for {n} clip ids"
+            )
+        lo = frames.min(axis=(1, 2, 3, 4))
+        hi = frames.max(axis=(1, 2, 3, 4))
+        totals = votes.sum(axis=1)
+        _reject_first(
+            ids, np.full(n, votes.shape[1] != len(class_names)),
+            f"vote vector length {votes.shape[1]} != C={len(class_names)}",
+        )
+        _reject_first(ids, ~(np.isfinite(lo) & np.isfinite(hi)), "frames contain non-finite values")
+        _reject_first(ids, (lo < 0.0) | (hi > 1.0), "frame values must lie in [0, 1]")
+        _reject_first(ids, (votes < 0).any(axis=1), "vote counts must be nonnegative")
+        _reject_first(ids, totals < 1, "vote record must contain at least one vote")
+        top = votes.max(axis=1)
+        unique = np.count_nonzero(votes == top[:, None], axis=1) == 1
+        for name, value in (
+            ("frames", frames), ("votes", votes), ("ids", ids), ("scenarios", scenarios),
+            ("class_names", class_names),
+            ("soft", votes / totals[:, None]),
+            ("hard", np.where(unique, votes.argmax(axis=1), -1)),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.class_names)
 
     @property
     def clip_shape(self) -> tuple[int, int, int, int] | None:
-        return self.entries[0].clip.shape if self.entries else None
+        return self.frames.shape[1:] if len(self) else None
+
+    @cached_property
+    def entries(self) -> tuple[DatasetEntry, ...]:
+        """One ``DatasetEntry`` per clip, built on first access; frames and labels are views."""
+        columns = (self.ids, self.frames, self.votes, self.soft, self.hard.tolist(),
+                   self.scenarios)
+        return tuple(
+            DatasetEntry(Clip(i, f), VoteRecord(v), s, h if h >= 0 else None, sc)
+            for i, f, v, s, h, sc in zip(*columns)
+        )
 
     def subset(self, indices) -> "LabeledDataset":
-        return replace(self, entries=tuple(self.entries[i] for i in indices))
+        """The clips at ``indices``, in that order; pixels are copied."""
+        rows = np.asarray(indices, dtype=np.intp)
+        return replace(
+            self, frames=self.frames[rows], votes=self.votes[rows],
+            ids=tuple(self.ids[k] for k in rows.tolist()),
+            scenarios=tuple(self.scenarios[k] for k in rows.tolist()),
+        )
+
+
+def _reject_first(ids, bad, problem: str, error=InvalidInputError) -> None:
+    """Raise ``error`` naming the first clip flagged in ``bad``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise error(f"clip {ids[rows[0]]!r}: {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,56 +192,40 @@ class SplitPair:
     seed: int
 
 
-def make_entry(clip: Clip, votes: VoteRecord, scenario: str | None = None) -> DatasetEntry:
-    """Build an entry with labels derived from the votes (hard=None on ties)."""
-    soft = aggregate_votes(votes)
-    hard = hard_label_of(soft) if has_unique_max(votes.counts) else None
-    return DatasetEntry(clip=clip, votes=votes, soft=soft, hard=hard, scenario=scenario)
-
-
 def build_dataset(
-    clips,
-    vote_records,
-    class_names=CLASS_NAMES,
-    provenance: str = "",
-    scenarios=None,
+    clips, vote_records, class_names=CLASS_NAMES, provenance: str = "", scenarios=None
 ) -> LabeledDataset:
-    """Assemble a dataset from parallel clip and vote sequences."""
+    """Assemble a dataset from parallel ``Clip`` and ``VoteRecord`` sequences."""
     clips = list(clips)
     vote_records = list(vote_records)
     if len(clips) != len(vote_records):
         raise InvalidInputError("clips and vote records differ in length")
-    if scenarios is None:
-        scenarios = [None] * len(clips)
-    entries = tuple(
-        make_entry(c, v, s) for c, v, s in zip(clips, vote_records, scenarios)
-    )
+    ids = tuple(c.clip_id for c in clips)
+    shape = clips[0].shape if clips else (1, 1, 1, 1)
+    _reject_first(ids, [c.shape != shape for c in clips],
+                  f"clip tensor differs from dataset tensor {shape}", TensorShapeError)
+    _reject_first(ids, [v.counts.size != len(class_names) for v in vote_records],
+                  f"vote vector length differs from C={len(class_names)}")
+    frames = np.array([c.frames for c in clips], dtype=np.float32)
+    votes = np.array([v.counts for v in vote_records], dtype=np.int64)
     return LabeledDataset(
-        entries=entries,
-        class_count=len(class_names),
-        class_names=tuple(class_names),
-        provenance=provenance,
+        frames.reshape((len(ids),) + shape), votes.reshape(len(ids), len(class_names)),
+        ids, scenarios, class_names=tuple(class_names), provenance=provenance,
     )
 
 
 def require_resolved(dataset: LabeledDataset) -> None:
-    """Raise if any entry still has a tied vote maximum (hard label None)."""
-    for e in dataset.entries:
-        if e.hard is None:
-            raise AmbiguousLabelError(
-                f"clip {e.clip.clip_id!r} has tied votes; run filter_unresolved first"
-            )
+    """Raise if any clip still has a tied vote maximum (hard label -1)."""
+    _reject_first(dataset.ids, dataset.hard < 0,
+                  "tied votes; run filter_unresolved first", AmbiguousLabelError)
 
 
 def hard_relabeled(dataset: LabeledDataset) -> LabeledDataset:
-    """Same clips, votes collapsed onto each entry's hard class (one-hot soft)."""
+    """Same clips (sharing ``frames``), votes collapsed onto each clip's hard class."""
     require_resolved(dataset)
-    entries = []
-    for e in dataset.entries:
-        counts = np.zeros(dataset.class_count, dtype=np.int64)
-        counts[e.hard] = e.votes.total
-        entries.append(make_entry(e.clip, VoteRecord(counts), e.scenario))
-    return replace(dataset, entries=tuple(entries))
+    votes = np.zeros_like(dataset.votes)
+    votes[np.arange(len(dataset)), dataset.hard] = dataset.votes.sum(axis=1)
+    return replace(dataset, votes=votes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +264,41 @@ def read_clip_file(path: Path, clip_id: str) -> np.ndarray:
 # Manifest I/O
 # ---------------------------------------------------------------------------
 
-def _clips_dirname(manifest_path: Path) -> str:
-    return f"{manifest_path.stem}_clips"
-
-
 def save_manifest(dataset: LabeledDataset, path) -> None:
     """Write the manifest and one clip binary per entry.
 
     Clip files are named by entry position under ``<stem>_clips/`` next to
     the manifest, so saving the same dataset twice is byte-identical.
-    Labels are never written; the optional ``scenario`` tag is preserved.
+    Numbered clip files left over from a larger dataset are deleted. The
+    manifest is written to a temporary file and then moved over ``path``, so
+    a failed write leaves the previous manifest intact. Labels are never
+    written; the optional ``scenario`` tag is preserved.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    clips_dir = path.parent / _clips_dirname(path)
-    clips_dir.mkdir(exist_ok=True)
+    clips_name = f"{path.stem}_clips"
+    clips_dir = path.parent / clips_name
+    clips_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for k, e in enumerate(dataset.entries):
-        rel = f"{_clips_dirname(path)}/{k:05d}.mdsc"
-        write_clip_file(e.clip.frames, path.parent / rel)
-        record: dict = {
-            "clip_id": e.clip.clip_id,
-            "clip_file": rel,
-            "votes": [int(v) for v in e.votes.counts],
-        }
-        if e.scenario is not None:
-            record["scenario"] = e.scenario
+    for k, (clip_id, frames, votes, scenario) in enumerate(
+        zip(dataset.ids, dataset.frames, dataset.votes.tolist(), dataset.scenarios)
+    ):
+        rel = f"{clips_name}/{k:05d}.mdsc"
+        write_clip_file(frames, path.parent / rel)
+        record: dict = {"clip_id": clip_id, "clip_file": rel, "votes": votes}
+        if scenario is not None:
+            record["scenario"] = scenario
         records.append(record)
-    doc = {
-        "version": MANIFEST_VERSION,
-        "class_names": list(dataset.class_names),
-        "entries": records,
-    }
-    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    doc = {"version": MANIFEST_VERSION, "class_names": list(dataset.class_names),
+           "entries": records}
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    for stale in clips_dir.glob("*.mdsc"):
+        if stale.stem.isdigit() and int(stale.stem) >= len(dataset):
+            stale.unlink()
 
 
 def load_manifest(path) -> LabeledDataset:
@@ -306,8 +327,10 @@ def load_manifest(path) -> LabeledDataset:
     if not isinstance(raw_entries, list):
         raise MalformedRecordError("entries must be an array")
 
-    entries = []
-    shape = None
+    n = len(raw_entries)
+    frames = np.empty((n, 1, 1, 1, 1), dtype=np.float32)  # reshaped by the first clip
+    votes = np.empty((n, class_count), dtype=np.int64)
+    ids, scenarios, stored = [], [], []
     for k, record in enumerate(raw_entries):
         if not isinstance(record, dict):
             raise MalformedRecordError(f"entry #{k} is not an object")
@@ -321,7 +344,7 @@ def load_manifest(path) -> LabeledDataset:
         if (
             not isinstance(votes_raw, list)
             or len(votes_raw) != class_count
-            or not all(isinstance(v, int) and v >= 0 for v in votes_raw)
+            or not all(type(v) is int and v >= 0 for v in votes_raw)
         ):
             raise MalformedRecordError(
                 f"votes must be {class_count} nonnegative integers", clip_id=clip_id
@@ -333,45 +356,44 @@ def load_manifest(path) -> LabeledDataset:
         clip_path = path.parent / clip_file
         if not clip_path.is_file():
             raise MissingClipFileError(f"clip file not found: {clip_file}", clip_id=clip_id)
-        frames = read_clip_file(clip_path, clip_id)
-        if shape is None:
-            shape = frames.shape
-        elif frames.shape != shape:
+        clip = read_clip_file(clip_path, clip_id)
+        if k == 0:
+            frames = np.empty((n,) + clip.shape, dtype=np.float32)
+        elif clip.shape != frames.shape[1:]:
             raise TensorShapeError(
-                f"clip tensor {frames.shape} differs from dataset tensor {shape}",
+                f"clip tensor {clip.shape} differs from dataset tensor {frames.shape[1:]}",
                 clip_id=clip_id,
             )
+        frames[k] = clip
+        votes[k] = votes_raw
+        ids.append(clip_id)
+        scenarios.append(scenario)
+        if "soft" in record or "hard" in record:
+            stored.append((k, record.get("soft"), record.get("hard")))
 
-        try:
-            votes = VoteRecord(np.asarray(votes_raw, dtype=np.int64))
-            clip = Clip(clip_id=clip_id, frames=frames)
-        except InvalidInputError as exc:
-            raise MalformedRecordError(str(exc), clip_id=clip_id) from exc
-        entry = make_entry(clip, votes, scenario)
-
-        stored_soft = record.get("soft")
+    try:
+        dataset = LabeledDataset(
+            frames, votes, tuple(ids), tuple(scenarios),
+            class_names=tuple(class_names), provenance=path.name,
+        )
+    except InvalidInputError as exc:
+        raise MalformedRecordError(str(exc)) from exc
+    for k, stored_soft, stored_hard in stored:
+        derived = int(dataset.hard[k]) if dataset.hard[k] >= 0 else None
         if stored_soft is not None:
             stored_soft = np.asarray(stored_soft, dtype=np.float64)
-            if stored_soft.shape != entry.soft.shape or np.max(
-                np.abs(stored_soft - entry.soft)
+            if stored_soft.shape != dataset.soft[k].shape or np.max(
+                np.abs(stored_soft - dataset.soft[k])
             ) > SOFT_LABEL_ATOL:
                 raise VoteLabelMismatchError(
-                    "stored soft label disagrees with the vote average", clip_id=clip_id
+                    "stored soft label disagrees with the vote average", clip_id=ids[k]
                 )
-        stored_hard = record.get("hard")
-        if stored_hard is not None and stored_hard != entry.hard:
+        if stored_hard is not None and not (type(stored_hard) is int and stored_hard == derived):
             raise VoteLabelMismatchError(
-                f"stored hard label {stored_hard} disagrees with derived {entry.hard}",
-                clip_id=clip_id,
+                f"stored hard label {stored_hard} disagrees with derived {derived}",
+                clip_id=ids[k],
             )
-        entries.append(entry)
-
-    return LabeledDataset(
-        entries=tuple(entries),
-        class_count=class_count,
-        class_names=tuple(class_names),
-        provenance=path.name,
-    )
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +407,25 @@ def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitP
     the train side, chosen by a seeded shuffle; the rest go to validation.
     Entry order within each side follows the input dataset.
     """
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot split an empty dataset")
     if not 0.0 < ratio < 1.0:
         raise InvalidInputError(f"split ratio must lie in (0, 1), got {ratio}")
     require_resolved(dataset)
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
+    is_train = np.zeros(len(dataset), dtype=bool)
     for c in range(dataset.class_count):
-        idx = [i for i, e in enumerate(dataset.entries) if e.hard == c]
-        if not idx:
+        idx = np.flatnonzero(dataset.hard == c)
+        if not idx.size:
             continue
-        perm = rng.permutation(len(idx))
-        n_train = int(math.floor(ratio * len(idx) + 0.5))
-        train_idx.extend(idx[p] for p in perm[:n_train])
-    train_set = set(train_idx)
-    train = dataset.subset(sorted(train_set))
-    val = dataset.subset(i for i in range(len(dataset.entries)) if i not in train_set)
-    return SplitPair(train=train, validation=val, seed=seed)
+        perm = rng.permutation(idx.size)
+        n_train = int(math.floor(ratio * idx.size + 0.5))
+        is_train[idx[perm[:n_train]]] = True
+    return SplitPair(
+        train=dataset.subset(np.flatnonzero(is_train)),
+        validation=dataset.subset(np.flatnonzero(~is_train)),
+        seed=seed,
+    )
 
 
 def _proportional_targets(counts: np.ndarray, size: int) -> np.ndarray:
@@ -417,32 +440,29 @@ def _proportional_targets(counts: np.ndarray, size: int) -> np.ndarray:
     targets = np.floor(quota).astype(np.int64)
     remainder = quota - targets
     short = size - int(targets.sum())
-    if short > 0:
-        order = np.lexsort((np.arange(len(counts)), -remainder))
-        for c in order[:short]:
-            targets[c] += 1
+    targets[np.lexsort((np.arange(len(counts)), -remainder))[:short]] += 1
     return targets
 
 
-def _resample_to_targets(dataset, entries, targets, rng) -> list:
-    """Per class, oversample (with replacement) or downsample to the target."""
+def _resample_to_targets(dataset, rows, targets, rng) -> np.ndarray:
+    """Per class, oversample (with replacement) or downsample ``rows`` to the target."""
     out = []
     for c, target in enumerate(targets):
         if target == 0:
             continue
-        have = [e for e in entries if e.hard == c]
-        if not have:
+        have = rows[dataset.hard[rows] == c]
+        if not have.size:
             raise EmptyClearGroupError(
                 f"group holds no sample of class {dataset.class_names[c]!r}; "
                 "cannot match the input class distribution"
             )
-        if target <= len(have):
-            picks = sorted(rng.choice(len(have), size=int(target), replace=False).tolist())
+        if target <= have.size:
+            picks = np.sort(rng.choice(have.size, size=int(target), replace=False))
         else:
-            extra = rng.choice(len(have), size=int(target) - len(have), replace=True)
-            picks = list(range(len(have))) + sorted(extra.tolist())
-        out.extend(have[p] for p in picks)
-    return out
+            extra = rng.choice(have.size, size=int(target) - have.size, replace=True)
+            picks = np.concatenate([np.arange(have.size), np.sort(extra)])
+        out.append(have[picks])
+    return np.concatenate(out)
 
 
 def partition_by_ambiguity(
@@ -464,33 +484,26 @@ def partition_by_ambiguity(
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidInputError(f"threshold must lie in [0, 1], got {threshold}")
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot partition an empty dataset")
     require_resolved(dataset)
     rng = np.random.default_rng(seed)
 
-    clear_entries = [e for e in dataset.entries if float(e.soft.max()) > threshold]
-    if not clear_entries:
+    clear = np.flatnonzero(dataset.soft.max(axis=1) > threshold)
+    if not clear.size:
         raise EmptyClearGroupError(f"no sample has max soft label > {threshold}")
-    size = len(clear_entries) if group_size is None else int(group_size)
-    if size < 1 or size > len(dataset.entries):
-        raise InvalidInputError(
-            f"group size {size} outside [1, {len(dataset.entries)}]"
-        )
-    mixed_idx = sorted(rng.choice(len(dataset.entries), size=size, replace=False).tolist())
-    mixed_entries = [dataset.entries[i] for i in mixed_idx]
+    size = clear.size if group_size is None else int(group_size)
+    if size < 1 or size > len(dataset):
+        raise InvalidInputError(f"group size {size} outside [1, {len(dataset)}]")
+    mixed = np.sort(rng.choice(len(dataset), size=size, replace=False))
 
     if balance:
-        class_counts = np.bincount(
-            [e.hard for e in dataset.entries], minlength=dataset.class_count
+        targets = _proportional_targets(
+            np.bincount(dataset.hard, minlength=dataset.class_count), size
         )
-        targets = _proportional_targets(class_counts, size)
-        clear_entries = _resample_to_targets(dataset, clear_entries, targets, rng)
-        mixed_entries = _resample_to_targets(dataset, mixed_entries, targets, rng)
-
-    clear = replace(dataset, entries=tuple(clear_entries))
-    mixed = replace(dataset, entries=tuple(mixed_entries))
-    return clear, mixed
+        clear = _resample_to_targets(dataset, clear, targets, rng)
+        mixed = _resample_to_targets(dataset, mixed, targets, rng)
+    return dataset.subset(clear), dataset.subset(mixed)
 
 
 def max_vote_histogram(dataset: LabeledDataset) -> np.ndarray:
@@ -499,5 +512,4 @@ def max_vote_histogram(dataset: LabeledDataset) -> np.ndarray:
     Bucket ``k`` counts the clips whose most-voted class received exactly
     ``k`` votes; the buckets sum to the dataset size.
     """
-    maxima = [int(e.votes.counts.max()) for e in dataset.entries]
-    return np.bincount(maxima, minlength=1).astype(np.int64)
+    return np.bincount(dataset.votes.max(axis=1), minlength=1).astype(np.int64)

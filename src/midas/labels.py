@@ -10,7 +10,7 @@ correct-vote and wrong-vote components.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,12 +103,6 @@ def aggregate_votes(votes: VoteRecord) -> np.ndarray:
     return votes.counts / votes.total
 
 
-def has_unique_max(counts) -> bool:
-    """True when exactly one component attains the maximum."""
-    arr = np.asarray(counts)
-    return int(np.count_nonzero(arr == arr.max())) == 1
-
-
 def hard_label_of(soft: np.ndarray) -> int:
     """Index of the strictly unique maximum component of a soft label.
 
@@ -127,13 +121,15 @@ def hard_label_of(soft: np.ndarray) -> int:
 def filter_unresolved(dataset: "LabeledDataset") -> "LabeledDataset":
     """Drop every clip whose vote counts lack a strictly unique maximum.
 
-    Relative order of the surviving entries is preserved. Idempotent.
+    Relative order of the surviving entries is preserved. Idempotent: a
+    dataset without ties comes back as is, without copying its pixels.
     """
-    kept = tuple(e for e in dataset.entries if has_unique_max(e.votes.counts))
-    removed = len(dataset.entries) - len(kept)
-    if removed:
-        logger.info("filter_unresolved removed %d tied clip(s)", removed)
-    return replace(dataset, entries=kept)
+    kept = np.flatnonzero(dataset.hard >= 0)
+    removed = len(dataset) - kept.size
+    if not removed:
+        return dataset
+    logger.info("filter_unresolved removed %d tied clip(s)", removed)
+    return dataset.subset(kept)
 
 
 def renormalize_softmax(vec) -> np.ndarray:

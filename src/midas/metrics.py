@@ -123,16 +123,16 @@ def war(cm: ConfusionMatrix) -> float:
 
 def coexistence(dataset: LabeledDataset) -> CoexistenceMatrix:
     """Row c = componentwise mean soft label over samples with hard label c."""
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot analyze an empty dataset")
     require_resolved(dataset)
     c = dataset.class_count
     ratios = np.zeros((c, c), dtype=np.float64)
     missing = np.ones(c, dtype=bool)
     for klass in range(c):
-        rows = [e.soft for e in dataset.entries if e.hard == klass]
-        if rows:
-            ratios[klass] = np.mean(rows, axis=0)
+        rows = dataset.soft[dataset.hard == klass]
+        if len(rows):
+            ratios[klass] = rows.mean(axis=0)
             missing[klass] = False
         else:
             logger.warning(
@@ -151,23 +151,18 @@ def report(model, dataset: LabeledDataset, target_hw=(4, 4)) -> dict:
     """
     from .model import featurize_dataset, forward_batch  # metrics must import lazily
 
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
     require_resolved(dataset)
     probs = forward_batch(model, featurize_dataset(dataset, target_hw))
     predicted = probs.argmax(axis=1)
-    actual = np.array([e.hard for e in dataset.entries], dtype=np.int64)
-    cm = confusion(predicted, actual, dataset.class_count)
+    cm = confusion(predicted, dataset.hard, dataset.class_count)
     acc = per_class_accuracy(cm)
+    columns = (dataset.ids, dataset.hard.tolist(), predicted.tolist(), probs.tolist(),
+               dataset.soft.tolist())
     samples = [
-        {
-            "clip_id": e.clip.clip_id,
-            "true_class": int(actual[k]),
-            "predicted_class": int(predicted[k]),
-            "posterior": [float(p) for p in probs[k]],
-            "soft_label": [float(s) for s in e.soft],
-        }
-        for k, e in enumerate(dataset.entries)
+        {"clip_id": i, "true_class": t, "predicted_class": p, "posterior": post, "soft_label": s}
+        for i, t, p, post, s in zip(*columns)
     ]
     return {
         "class_names": list(dataset.class_names),

@@ -74,8 +74,8 @@ def _blend_frames(out, frames, left, right, lams) -> None:
     for start in range(0, len(lams), step):
         rows = slice(start, start + step)
         lam = lams[rows].reshape((-1,) + (1,) * (out.ndim - 1))
-        a = np.stack([frames[i] for i in left[rows]], dtype=np.float64)
-        b = np.stack([frames[j] for j in right[rows]], dtype=np.float64)
+        a = frames[left[rows]].astype(np.float64)
+        b = frames[right[rows]].astype(np.float64)
         a *= lam
         b *= 1.0 - lam
         a += b
@@ -99,7 +99,8 @@ def mix_clips(a: Clip, b: Clip, lam: float, clip_id: str | None = None) -> Clip:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"clip shapes differ: {a.shape} vs {b.shape}")
     out = np.empty((1,) + a.shape, dtype=np.float32)
-    _blend_frames(out, (a.frames, b.frames), [0], [1], np.array([lam], dtype=np.float64))
+    lams = np.array([lam], dtype=np.float64)
+    _blend_frames(out, np.stack([a.frames, b.frames]), [0], [1], lams)
     if clip_id is None:
         clip_id = f"mix({a.clip_id},{b.clip_id})"
     return Clip(clip_id=clip_id, frames=out[0])
@@ -181,9 +182,8 @@ def midas_batch(
     left, right, lams = (np.concatenate(p) for p in zip(*passes))
 
     clips = np.empty((batch_size,) + dataset.clip_shape, dtype=np.float32)
-    _blend_frames(clips, [e.clip.frames for e in dataset.entries], left, right, lams)
-    soft = np.stack([e.soft for e in dataset.entries])
+    _blend_frames(clips, dataset.frames, left, right, lams)
     return MixedBatch(
-        clips, _blend_labels(soft, left, right, lams, normalize), lams, left, right,
-        tuple(e.clip.clip_id for e in dataset.entries), normalize,
+        clips, _blend_labels(dataset.soft, left, right, lams, normalize), lams, left, right,
+        dataset.ids, normalize,
     )

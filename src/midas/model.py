@@ -26,7 +26,7 @@ from .errors import (
 )
 from .labels import LOG_CLAMP, softmax_rows
 from .metrics import confusion, uar, war
-from .mixer import midas_batch
+from .mixer import _check_alpha, midas_batch
 
 LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
 
@@ -66,23 +66,21 @@ class TrainConfig:
     target_hw: tuple[int, int] = (4, 4)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size"):
+            if not _positive_ints([getattr(self, name)]):
+                raise InvalidInputError(f"{name} must be an int >= 1, got {getattr(self, name)!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise InvalidInputError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise InvalidInputError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.label_mode not in LABEL_MODES:
             raise InvalidInputError(
                 f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}"
             )
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        object.__setattr__(self, "target_hw", tuple(int(d) for d in self.target_hw))
-        if any(h < 1 for h in self.hidden):
-            raise InvalidInputError(f"hidden sizes must be >= 1, got {self.hidden}")
-        if len(self.target_hw) != 2 or any(d < 1 for d in self.target_hw):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        object.__setattr__(self, "target_hw", tuple(self.target_hw))
+        if not _positive_ints(self.hidden):
+            raise InvalidInputError(f"hidden sizes must be ints >= 1, got {self.hidden}")
+        if len(self.target_hw) != 2 or not _positive_ints(self.target_hw):
             raise InvalidInputError(f"target_hw must be two positive ints, got {self.target_hw}")
 
     def hash(self) -> str:
@@ -182,9 +180,9 @@ def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarr
 
 
 def featurize_dataset(dataset: LabeledDataset, target_hw: tuple[int, int]) -> np.ndarray:
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot featurize an empty dataset")
-    return featurize_frames(np.stack([e.clip.frames for e in dataset.entries]), target_hw)
+    return featurize_frames(dataset.frames, target_hw)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +275,7 @@ def evaluate(model: Classifier, dataset: LabeledDataset, target_hw) -> tuple[flo
     """(UAR, WAR) of argmax predictions against hard labels."""
     require_resolved(dataset)
     probs = forward_batch(model, featurize_dataset(dataset, target_hw))
-    predicted = probs.argmax(axis=1)
-    actual = np.array([e.hard for e in dataset.entries], dtype=np.int64)
-    cm = confusion(predicted, actual, dataset.class_count)
+    cm = confusion(probs.argmax(axis=1), dataset.hard, dataset.class_count)
     return uar(cm), war(cm)
 
 
@@ -298,7 +294,7 @@ def train(
     instead. Everything is driven by one generator seeded from the config,
     so a run is a pure function of (dataset, config).
     """
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot train on an empty dataset")
     require_resolved(dataset)
     if config.label_mode in ("midas", "midas_hard") and len(dataset) < 2:
@@ -314,9 +310,9 @@ def train(
 
     fixed_targets = None
     if config.label_mode == "hard":
-        fixed_targets = np.eye(dataset.class_count)[[e.hard for e in dataset.entries]]
+        fixed_targets = np.eye(dataset.class_count)[dataset.hard]
     elif config.label_mode == "soft":
-        fixed_targets = np.stack([e.soft for e in dataset.entries])
+        fixed_targets = dataset.soft
     mix_source = hard_relabeled(dataset) if config.label_mode == "midas_hard" else dataset
 
     losses = np.empty(config.epochs, dtype=np.float64)
@@ -397,8 +393,8 @@ def save_checkpoint(model: Classifier, path, config: TrainConfig | None = None) 
 
 
 def _positive_ints(value) -> bool:
-    """A JSON array of integers >= 1; JSON true/false are not integers here."""
-    return isinstance(value, list) and all(type(v) is int and v >= 1 for v in value)
+    """A list or tuple of ints >= 1; booleans (JSON true/false) are not ints here."""
+    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= 1 for v in value)
 
 
 def load_checkpoint(path) -> tuple[Classifier, dict]:

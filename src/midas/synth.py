@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Clip, LabeledDataset, build_dataset
+from .dataset import LabeledDataset
 from .errors import InvalidInputError
 from .labels import (
     CLASS_NAMES, LOG_CLAMP, VoteRecord, as_soft_label, filter_unresolved, softmax_rows,
@@ -114,33 +114,36 @@ def generate(config: SynthConfig) -> LabeledDataset:
     prototypes = [_prototype(config, rng) for _ in range(config.class_count)]
     n_ambiguous = int(np.floor(config.rho * config.samples_per_class + 0.5))
 
-    clips = []
-    votes = []
+    n = config.class_count * config.samples_per_class
+    frames = np.empty(
+        (n, config.frames, config.height, config.width, config.channels), dtype=np.float32
+    )
+    votes = np.empty((n, config.class_count), dtype=np.int64)
+    ids = []
     for c in range(config.class_count):
         for k in range(config.samples_per_class):
+            row = c * config.samples_per_class + k
+            mixture = np.zeros(config.class_count, dtype=np.float64)
             if k < n_ambiguous:
                 partner = int(rng.integers(0, config.class_count - 1))
                 if partner >= c:
                     partner += 1
                 weight = float(rng.uniform(0.3, 0.7))
-                frames = weight * prototypes[c] + (1.0 - weight) * prototypes[partner]
-                mixture = np.zeros(config.class_count, dtype=np.float64)
+                clip = weight * prototypes[c] + (1.0 - weight) * prototypes[partner]
                 mixture[c] = weight
                 mixture[partner] = 1.0 - weight
             else:
-                frames = prototypes[c].copy()
-                mixture = np.zeros(config.class_count, dtype=np.float64)
+                clip = prototypes[c]
                 mixture[c] = 1.0
             field = config.sigma_within * rng.standard_normal(
                 (config.height, config.width, config.channels)
             )
-            frames = np.clip(frames + field[None, :, :, :], 0.0, 1.0).astype(np.float32)
-            clips.append(Clip(clip_id=f"synth-{c:02d}-{k:04d}", frames=frames))
-            votes.append(simulate_annotators(mixture, config.annotators, config.tau, rng))
+            frames[row] = np.clip(clip + field[None, :, :, :], 0.0, 1.0)
+            votes[row] = simulate_annotators(mixture, config.annotators, config.tau, rng).counts
+            ids.append(f"synth-{c:02d}-{k:04d}")
 
-    dataset = build_dataset(
-        clips,
-        votes,
+    dataset = LabeledDataset(
+        frames, votes, tuple(ids),
         class_names=config.class_names(),
         provenance=f"synth(seed={config.seed})",
     )

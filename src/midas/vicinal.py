@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import LabeledDataset, hard_relabeled
 from .errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
 from .labels import LabelDecomposition, as_soft_label, one_hot
-from .mixer import midas_batch
+from .mixer import _check_lambda, midas_batch
 from .model import soft_cross_entropy as cross_entropy
 
 LABEL_MODES = ("soft", "hard")
@@ -65,7 +65,7 @@ def _estimate_from_losses(losses: np.ndarray) -> RiskEstimate:
 
 def empirical_risk(predictor, dataset: LabeledDataset, loss=cross_entropy) -> RiskEstimate:
     """Mean of loss(predictor(clip), soft label) over the dataset."""
-    if not dataset.entries:
+    if not len(dataset):
         raise EmptyDatasetError("cannot estimate risk on an empty dataset")
     losses = np.array(
         [loss(predictor(e.clip), e.soft) for e in dataset.entries], dtype=np.float64
@@ -124,8 +124,7 @@ def reparameterize(
     The denominator vanishes only at lam = 1 with a unanimous correct vote,
     where the rewrite is undefined.
     """
-    if not np.isfinite(lam) or not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
+    _check_lambda(lam)
     if annotators < 1:
         raise InvalidInputError(f"annotator count must be >= 1, got {annotators}")
     l = decomposition.correct_count

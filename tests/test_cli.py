@@ -446,6 +446,17 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_boolean_vote_counts_are_an_error(self, tmp_path, capsys):
+        manifest = _corpus(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["entries"][3]["votes"] = [True, 0, 0]
+        manifest.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "aggregate", "--manifest", str(manifest),
+                            "--out", str(tmp_path / "clean.json"))
+        assert code == 1
+        assert err.startswith("error:") and "u03" in err
+        assert not (tmp_path / "clean.json").exists()
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

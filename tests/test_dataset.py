@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from midas.dataset import (
     CLIP_MAGIC,
     Clip,
-    DatasetEntry,
     LabeledDataset,
     build_dataset,
     hard_relabeled,
     load_manifest,
-    make_entry,
     max_vote_histogram,
     partition_by_ambiguity,
     read_clip_file,
@@ -36,6 +34,8 @@ from midas.errors import (
     VoteLabelMismatchError,
 )
 from midas.labels import VoteRecord
+from midas.mixer import midas_batch
+from midas.model import LABEL_MODES, TrainConfig, train
 
 from conftest import make_clip, make_dataset, unanimous_rows
 
@@ -67,42 +67,73 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(ds.entries[0].soft, [0.6, 0.4, 0.0])
         assert ds.entries[0].hard == 0
         assert ds.entries[1].hard == 2
+        np.testing.assert_array_equal(ds.soft, [[0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])
+        assert ds.hard.tolist() == [0, 2]
+        assert ds.class_count == 3
 
     def test_tied_votes_leave_hard_unset(self):
-        ds = make_dataset([[5, 5, 0]])
-        assert ds.entries[0].hard is None
-        with pytest.raises(AmbiguousLabelError):
+        ds = make_dataset([[5, 5, 0], [6, 4, 0], [1, 3, 2], [3, 3, 1]])
+        assert ds.hard.tolist() == [-1, 0, 1, -1]
+        assert [e.hard for e in ds.entries] == [None, 0, 1, None]
+        with pytest.raises(AmbiguousLabelError, match="clip-000"):
             require_resolved(ds)
-
-    def test_rejects_soft_label_drift(self):
-        ds = make_dataset([[6, 4, 0]])
-        entry = ds.entries[0]
-        bad = DatasetEntry(
-            clip=entry.clip, votes=entry.votes,
-            soft=np.array([0.5, 0.5, 0.0]), hard=0,
-        )
-        with pytest.raises(InvalidInputError):
-            LabeledDataset(entries=(bad,), class_count=3,
-                           class_names=("a", "b", "c"))
 
     def test_rejects_mixed_clip_shapes(self):
         a = make_clip("a", value=0.1)
         b = make_clip("b", value=0.2, shape=(3, 5, 5, 1))
-        with pytest.raises(TensorShapeError):
+        c = make_clip("c", value=0.3, shape=(3, 6, 6, 1))
+        with pytest.raises(TensorShapeError, match="'b'"):
             build_dataset(
-                [a, b],
-                [VoteRecord(r) for r in unanimous_rows([0, 1], class_count=3)],
+                [a, b, c],
+                [VoteRecord(r) for r in unanimous_rows([0, 1, 2], class_count=3)],
                 class_names=("a", "b", "c"),
             )
 
-    def test_rejects_wrong_class_name_count(self):
+    def test_rejects_wrong_vote_arity(self):
+        clips = [make_clip("a", value=0.1), make_clip("b", value=0.2), make_clip("c", value=0.3)]
+        votes = [VoteRecord([1, 0, 0]), VoteRecord([1, 0]), VoteRecord([1])]
+        with pytest.raises(InvalidInputError, match="'b'"):
+            build_dataset(clips, votes, class_names=("x", "y", "z"))
+        with pytest.raises(InvalidInputError, match="'a'"):
+            LabeledDataset(np.zeros((2, 1, 1, 1, 1)), np.ones((2, 3)), ("a", "b"),
+                           class_names=("x",))
+
+    @pytest.mark.parametrize(
+        "frame_value, vote_row, problem",
+        [
+            (np.nan, [1, 0], "non-finite"),
+            (np.inf, [1, 0], "non-finite"),
+            (1.5, [1, 0], r"\[0, 1\]"),
+            (-0.1, [1, 0], r"\[0, 1\]"),
+            (0.5, [2, -1], "nonnegative"),
+            (0.5, [0, 0], "at least one vote"),
+        ],
+        ids=["nan", "inf", "above-one", "below-zero", "negative-vote", "no-votes"],
+    )
+    def test_vectorised_checks_name_the_first_bad_clip(self, frame_value, vote_row, problem):
+        frames = np.full((5, 2, 3, 3, 1), 0.5, dtype=np.float32)
+        votes = np.tile([3, 1], (5, 1))
+        for bad in (2, 4):  # the error must name c2, the first of the two
+            frames[bad, 1, 2, 0, 0] = frame_value
+            votes[bad] = vote_row
+        with pytest.raises(InvalidInputError, match=f"'c2'.*{problem}"):
+            LabeledDataset(frames, votes, tuple(f"c{k}" for k in range(5)), class_names=("x", "y"))
+
+    def test_rejects_disagreeing_lengths(self):
         with pytest.raises(InvalidInputError):
-            LabeledDataset(entries=(), class_count=3, class_names=("a",))
+            LabeledDataset(np.zeros((2, 1, 1, 1, 1)), np.ones((3, 2)), ("a", "b"),
+                           class_names=("x", "y"))
+        with pytest.raises(InvalidInputError):
+            LabeledDataset(np.zeros((2, 1, 1, 1, 1)), np.ones((2, 2)), ("a", "b"), ("s",),
+                           class_names=("x", "y"))
 
     def test_subset_preserves_order(self):
         ds = make_dataset(unanimous_rows([0, 1, 2, 0], class_count=3))
         sub = ds.subset([2, 0])
         assert [e.clip.clip_id for e in sub.entries] == ["clip-002", "clip-000"]
+        assert sub.ids == ("clip-002", "clip-000")
+        np.testing.assert_array_equal(sub.frames, ds.frames[[2, 0]])
+        assert not np.shares_memory(sub.frames, ds.frames)
 
     def test_hard_relabeled_collapses_votes(self):
         ds = make_dataset([[6, 4, 0], [1, 2, 7]])
@@ -111,6 +142,27 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(flat.entries[0].soft, [1.0, 0.0, 0.0])
         assert flat.entries[1].hard == 2
         assert flat.entries[0].votes.total == ds.entries[0].votes.total
+        assert flat.frames is ds.frames
+        assert flat.ids == ds.ids
+
+    def test_entries_are_views_built_on_first_access(self):
+        ds = make_dataset([[6, 4, 0], [1, 2, 7]])
+        assert "entries" not in ds.__dict__
+        entries = ds.entries
+        assert ds.entries is entries
+        assert np.shares_memory(entries[1].clip.frames, ds.frames)
+        assert np.shares_memory(entries[1].soft, ds.soft)
+
+    def test_array_consumers_build_no_entries(self, tmp_path):
+        ds = make_dataset(unanimous_rows([k % 3 for k in range(12)], class_count=3))
+        pair = stratified_split(ds, ratio=0.5, seed=0)
+        midas_batch(ds, batch_size=7, alpha=0.8, rng=np.random.default_rng(0))
+        for mode in LABEL_MODES:
+            train(pair.train, TrainConfig(epochs=2, label_mode=mode, hidden=(4,), target_hw=(2, 2)),
+                  validation=pair.validation)
+        save_manifest(ds, tmp_path / "data.json")
+        for d in (ds, pair.train, pair.validation):
+            assert "entries" not in d.__dict__
 
 
 class TestClipBinary:
@@ -229,6 +281,47 @@ class TestManifest:
         with pytest.raises(MalformedRecordError, match="votes"):
             load_manifest(path)
 
+    def test_boolean_votes_rejected(self, tmp_path):
+        ds = make_dataset([[6, 4, 0], [1, 0, 0]])
+        path = tmp_path / "data.json"
+        save_manifest(ds, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["votes"] = [True, False, False]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError, match="clip-001"):
+            load_manifest(path)
+
+    def test_saving_fewer_entries_prunes_stale_clip_files(self, tmp_path):
+        path = tmp_path / "data.json"
+        save_manifest(make_dataset(unanimous_rows([k % 3 for k in range(42)])), path)
+        small = make_dataset(unanimous_rows([k % 3 for k in range(7)]), seed=1)
+        (tmp_path / "data_clips" / "notes.txt").write_text("kept")
+        save_manifest(small, path)
+        names = sorted(p.name for p in (tmp_path / "data_clips").iterdir())
+        assert names == [f"{k:05d}.mdsc" for k in range(7)] + ["notes.txt"]
+        loaded = load_manifest(path)
+        assert loaded.ids == small.ids
+        np.testing.assert_array_equal(loaded.frames, small.frames)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json", "data_clips"]
+
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.json"
+        save_manifest(make_dataset([[6, 4, 0]]), path)
+        before = path.read_bytes()
+
+        def half_then_fail(self, text, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as fp:
+                fp.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_text", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_manifest(make_dataset([[0, 4, 6], [1, 0, 0]]), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json", "data_clips"]
+        assert len(load_manifest(path)) == 1
+
     def test_stored_soft_label_cross_checked(self, tmp_path):
         ds = make_dataset([[6, 4, 0]])
         path = tmp_path / "data.json"
@@ -244,10 +337,11 @@ class TestManifest:
         path = tmp_path / "data.json"
         save_manifest(ds, path)
         doc = json.loads(path.read_text())
-        doc["entries"][0]["hard"] = 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(VoteLabelMismatchError):
-            load_manifest(path)
+        for stored in (1, False, 0.0):  # false and 0.0 must not pass as class 0
+            doc["entries"][0]["hard"] = stored
+            path.write_text(json.dumps(doc))
+            with pytest.raises(VoteLabelMismatchError):
+                load_manifest(path)
 
     def test_consistent_stored_labels_accepted(self, tmp_path):
         ds = make_dataset([[6, 4, 0]])
@@ -260,7 +354,7 @@ class TestManifest:
         assert load_manifest(path).entries[0].hard == 0
 
     def test_empty_dataset_round_trips(self, tmp_path):
-        ds = LabeledDataset(entries=(), class_count=3, class_names=("a", "b", "c"))
+        ds = build_dataset([], [], class_names=("a", "b", "c"))
         path = tmp_path / "data.json"
         save_manifest(ds, path)
         assert len(load_manifest(path)) == 0
@@ -322,7 +416,7 @@ class TestStratifiedSplit:
                 stratified_split(ds, ratio=ratio, seed=0)
 
     def test_rejects_empty_dataset(self):
-        ds = LabeledDataset(entries=(), class_count=2, class_names=("a", "b"))
+        ds = build_dataset([], [], class_names=("a", "b"))
         with pytest.raises(EmptyDatasetError):
             stratified_split(ds, ratio=0.5, seed=0)
 
@@ -438,5 +532,5 @@ class TestMaxVoteHistogram:
         assert max_vote_histogram(ds).sum() == len(ds)
 
     def test_empty_dataset(self):
-        ds = LabeledDataset(entries=(), class_count=3, class_names=("a", "b", "c"))
+        ds = build_dataset([], [], class_names=("a", "b", "c"))
         assert max_vote_histogram(ds).tolist() == [0]

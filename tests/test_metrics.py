@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from midas.dataset import LabeledDataset
+from midas.dataset import build_dataset
 from midas.errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError
 from midas.metrics import (
     CoexistenceMatrix,
@@ -139,7 +139,7 @@ class TestCoexistence:
         assert any("flagged missing" in r.message for r in caplog.records)
 
     def test_empty_dataset_rejected(self):
-        ds = LabeledDataset(entries=(), class_count=2, class_names=("a", "b"))
+        ds = build_dataset([], [], class_names=("a", "b"))
         with pytest.raises(EmptyDatasetError):
             coexistence(ds)
 

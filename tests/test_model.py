@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from midas.dataset import Clip, LabeledDataset, build_dataset
+from midas.dataset import Clip, build_dataset
 from midas.errors import (
     AmbiguousLabelError,
     EmptyDatasetError,
@@ -98,7 +98,7 @@ class TestFeaturize:
             np.testing.assert_array_equal(stacked[k], featurize(clip, (4, 4)).values)
 
     def test_featurize_dataset_empty_rejected(self):
-        ds = LabeledDataset(entries=(), class_count=2, class_names=("a", "b"))
+        ds = build_dataset([], [], class_names=("a", "b"))
         with pytest.raises(EmptyDatasetError):
             featurize_dataset(ds, (2, 2))
 
@@ -297,7 +297,7 @@ class TestTrain:
             train(ds, cfg)
 
     def test_rejects_empty_and_unresolved(self):
-        empty = LabeledDataset(entries=(), class_count=2, class_names=("a", "b"))
+        empty = build_dataset([], [], class_names=("a", "b"))
         with pytest.raises(EmptyDatasetError):
             train(empty, TrainConfig(epochs=1))
         tied = make_dataset([[5, 5, 0], [10, 0, 0]])
@@ -341,6 +341,12 @@ class TestConfig:
             TrainConfig(hidden=(0,))
         with pytest.raises(InvalidInputError):
             TrainConfig(target_hw=(4,))
+
+    def test_rejects_booleans_as_counts(self):
+        for field in ({"epochs": True}, {"batch_size": True}, {"hidden": (8, True)},
+                      {"target_hw": (True, 2)}, {"epochs": 2.0}):
+            with pytest.raises(InvalidInputError):
+                TrainConfig(**field)
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midas.dataset import LabeledDataset, build_dataset
+from midas.dataset import build_dataset
 from midas.errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
 from midas.labels import LabelDecomposition, VoteRecord, decompose, one_hot, renormalize_softmax
 from midas.mixer import midas_batch
@@ -83,7 +83,7 @@ class TestEmpiricalRisk:
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_empty_dataset_rejected(self):
-        ds = LabeledDataset(entries=(), class_count=3, class_names=("a", "b", "c"))
+        ds = build_dataset([], [], class_names=("a", "b", "c"))
         with pytest.raises(EmptyDatasetError):
             empirical_risk(lambda clip: None, ds)
 
