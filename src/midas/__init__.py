@@ -70,7 +70,6 @@ from .metrics import (
 )
 from .model import (
     Classifier,
-    FeatureVector,
     TrainConfig,
     TrainHistory,
     evaluate,

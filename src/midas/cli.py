@@ -36,8 +36,8 @@ from .model import (
     Classifier,
     TrainConfig,
     evaluate,
-    featurize,
-    forward,
+    featurize_frames,
+    forward_batch,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -282,10 +282,9 @@ def cmd_mix(args) -> int:
 def cmd_risk(args) -> int:
     dataset = load_manifest(args.manifest)
     model, meta = load_checkpoint(args.checkpoint)
-    hw = meta["target_hw"]
 
-    def predictor(clip):
-        return forward(model, featurize(clip, hw))
+    def predictor(frames):
+        return forward_batch(model, featurize_frames(frames, meta["target_hw"]))
 
     if args.empirical:
         estimate = empirical_risk(predictor, dataset)

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -256,8 +257,7 @@ def read_clip_file(path: Path, clip_id: str) -> np.ndarray:
             f"clip payload is {len(body)} bytes, header implies {expected}",
             clip_id=clip_id,
         )
-    frames = np.frombuffer(body, dtype="<f4").reshape(t, h, w, ch)
-    return frames
+    return np.frombuffer(body, dtype="<f4").reshape(t, h, w, ch)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,12 @@ def load_manifest(path) -> LabeledDataset:
         scenario = record.get("scenario")
         if scenario is not None and not isinstance(scenario, str):
             raise MalformedRecordError("scenario must be a string", clip_id=clip_id)
+        stored_soft = record.get("soft")
+        if stored_soft is not None and not (  # NaN, infinities and booleans fail too
+            isinstance(stored_soft, list) and len(stored_soft) == class_count
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in stored_soft)
+        ):
+            raise MalformedRecordError(f"soft must be {class_count} finite numbers", clip_id=clip_id)
 
         clip_path = path.parent / clip_file
         if not clip_path.is_file():
@@ -369,7 +375,7 @@ def load_manifest(path) -> LabeledDataset:
         ids.append(clip_id)
         scenarios.append(scenario)
         if "soft" in record or "hard" in record:
-            stored.append((k, record.get("soft"), record.get("hard")))
+            stored.append((k, stored_soft, record.get("hard")))
 
     try:
         dataset = LabeledDataset(
@@ -380,14 +386,12 @@ def load_manifest(path) -> LabeledDataset:
         raise MalformedRecordError(str(exc)) from exc
     for k, stored_soft, stored_hard in stored:
         derived = int(dataset.hard[k]) if dataset.hard[k] >= 0 else None
-        if stored_soft is not None:
-            stored_soft = np.asarray(stored_soft, dtype=np.float64)
-            if stored_soft.shape != dataset.soft[k].shape or np.max(
-                np.abs(stored_soft - dataset.soft[k])
-            ) > SOFT_LABEL_ATOL:
-                raise VoteLabelMismatchError(
-                    "stored soft label disagrees with the vote average", clip_id=ids[k]
-                )
+        if stored_soft is not None and np.max(
+            np.abs(np.asarray(stored_soft, dtype=np.float64) - dataset.soft[k])
+        ) > SOFT_LABEL_ATOL:
+            raise VoteLabelMismatchError(
+                "stored soft label disagrees with the vote average", clip_id=ids[k]
+            )
         if stored_hard is not None and not (type(stored_hard) is int and stored_hard == derived):
             raise VoteLabelMismatchError(
                 f"stored hard label {stored_hard} disagrees with derived {derived}",

@@ -33,22 +33,17 @@ LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
 _CKPT_MAGIC = b"MDSW"
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """A flattened clip descriptor of fixed length D."""
+def _ints_at_least(value, minimum: int = 1) -> bool:
+    """A list or tuple of ints >= minimum; booleans (JSON true/false) are not ints here."""
+    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= minimum for v in value)
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise InvalidInputError("feature vector must be 1-dimensional and nonempty")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("feature vector contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
+def _check_int_fields(config, names, minimum: int = 1) -> None:
+    """Raise InvalidInputError unless each named field of ``config`` is an int >= minimum."""
+    for name in names:
+        value = getattr(config, name)
+        if not _ints_at_least([value], minimum):
+            raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,10 @@ class TrainConfig:
     target_hw: tuple[int, int] = (4, 4)
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if not _positive_ints([getattr(self, name)]):
-                raise InvalidInputError(f"{name} must be an int >= 1, got {getattr(self, name)!r}")
+        _check_int_fields(self, ("epochs", "batch_size"))
+        _check_int_fields(self, ("seed",), minimum=0)
+        if type(self.normalize) is not bool:
+            raise InvalidInputError(f"normalize must be a bool, got {self.normalize!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise InvalidInputError(f"learning rate must be >= 0, got {self.learning_rate}")
         _check_alpha(self.alpha)
@@ -78,9 +74,9 @@ class TrainConfig:
             )
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "target_hw", tuple(self.target_hw))
-        if not _positive_ints(self.hidden):
+        if not _ints_at_least(self.hidden):
             raise InvalidInputError(f"hidden sizes must be ints >= 1, got {self.hidden}")
-        if len(self.target_hw) != 2 or not _positive_ints(self.target_hw):
+        if len(self.target_hw) != 2 or not _ints_at_least(self.target_hw):
             raise InvalidInputError(f"target_hw must be two positive ints, got {self.target_hw}")
 
     def hash(self) -> str:
@@ -154,13 +150,13 @@ def _block_starts(n: int, k: int) -> np.ndarray:
     return (np.arange(k) * n) // k
 
 
-def featurize(clip: Clip, target_hw: tuple[int, int]) -> FeatureVector:
+def featurize(clip: Clip, target_hw: tuple[int, int]) -> np.ndarray:
     """Temporal mean, block-average downsample to (h, w), channel-last flatten.
 
-    Every output component is a fixed-weight average of input pixels, so the
-    map is linear in the clip.
+    Returns the (D,) float64 row. Every component is a fixed-weight average
+    of input pixels, so the map is linear in the clip.
     """
-    return FeatureVector(values=featurize_frames(clip.frames[None], target_hw)[0])
+    return featurize_frames(clip.frames[None], target_hw)[0]
 
 
 def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
@@ -169,7 +165,7 @@ def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarr
     _, _, height, width, _ = frames.shape
     if h < 1 or w < 1 or h > height or w > width:
         raise InvalidInputError(f"target {h}x{w} outside [1, {height}]x[1, {width}]")
-    mean = frames.astype(np.float64).mean(axis=1)
+    mean = frames.mean(axis=1, dtype=np.float64)  # accumulates in float64 without a copy
     rows = _block_starts(height, h)
     row_sizes = np.diff(np.append(rows, height))
     pooled = np.add.reduceat(mean, rows, axis=1) / row_sizes[None, :, None, None]
@@ -212,29 +208,30 @@ def forward_batch(model: Classifier, features: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward(model: Classifier, feature) -> np.ndarray:
-    """Class probabilities for one feature vector."""
-    if isinstance(feature, FeatureVector):
-        feature = feature.values
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise ShapeMismatchError(f"expected a vector, got shape {feature.shape}")
-    return forward_batch(model, feature[None, :])[0]
+def forward(model: Classifier, feature: np.ndarray) -> np.ndarray:
+    """Class probabilities for one (D,) feature vector."""
+    return forward_batch(model, np.asarray(feature)[None])[0]
 
 
-def soft_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * ln(pred)) with pred clamped at 1e-12 inside the log."""
+def _log_terms(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    return targets * np.log(np.clip(probs, LOG_CLAMP, None))
+
+
+def soft_cross_entropy(pred, target):
+    """-sum(target * ln(pred)) over the last axis, pred clamped at 1e-12 in the log.
+
+    A (C,) pair gives a float; a (B, C) pair gives the (B,) per-row losses.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
+    if pred.shape != target.shape or pred.ndim not in (1, 2):
         raise ShapeMismatchError(f"pred {pred.shape} vs target {target.shape}")
-    return _batch_loss(pred[None], target[None])
+    losses = -np.sum(_log_terms(pred, target), axis=-1)
+    return float(losses) if pred.ndim == 1 else losses
 
 
 def _batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
-    return float(
-        -np.sum(targets * np.log(np.clip(probs, LOG_CLAMP, None))) / probs.shape[0]
-    )
+    return float(-np.sum(_log_terms(probs, targets)) / probs.shape[0])
 
 
 def gradient(model: Classifier, features: np.ndarray, targets: np.ndarray):
@@ -392,11 +389,6 @@ def save_checkpoint(model: Classifier, path, config: TrainConfig | None = None) 
         fp.write(b"".join(blocks))
 
 
-def _positive_ints(value) -> bool:
-    """A list or tuple of ints >= 1; booleans (JSON true/false) are not ints here."""
-    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= 1 for v in value)
-
-
 def load_checkpoint(path) -> tuple[Classifier, dict]:
     """Returns (model, metadata). Parameters come back as float32 values.
 
@@ -413,7 +405,7 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
     if not isinstance(header, dict) or header.get("format") != _CKPT_MAGIC.decode("ascii"):
         raise MalformedRecordError("not a classifier checkpoint")
     sizes = header.get("layer_sizes")
-    if not _positive_ints(sizes) or len(sizes) < 2:
+    if not _ints_at_least(sizes) or len(sizes) < 2:
         raise MalformedRecordError("checkpoint layer_sizes missing or invalid")
     expected = sum(
         d_in * d_out + d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])
@@ -432,7 +424,7 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
         biases.append(flat[pos:pos + d_out].copy())
         pos += d_out
     target_hw = header.get("target_hw", [4, 4])
-    if not _positive_ints(target_hw) or len(target_hw) != 2:
+    if not _ints_at_least(target_hw) or len(target_hw) != 2:
         raise MalformedRecordError(f"checkpoint target_hw must be two ints >= 1, got {target_hw!r}")
     model = Classifier(
         weights=weights, biases=biases, activation=header.get("activation", "tanh")

@@ -20,6 +20,7 @@ from .errors import InvalidInputError
 from .labels import (
     CLASS_NAMES, LOG_CLAMP, VoteRecord, as_soft_label, filter_unresolved, softmax_rows,
 )
+from .model import _check_int_fields
 
 DRIFT_AMPLITUDE = 0.1
 
@@ -42,18 +43,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = {
-            "class_count": self.class_count,
-            "samples_per_class": self.samples_per_class,
-            "frames": self.frames,
-            "height": self.height,
-            "width": self.width,
-            "channels": self.channels,
-            "annotators": self.annotators,
-        }
-        for name, value in dims.items():
-            if value < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {value}")
+        _check_int_fields(self, ("class_count", "samples_per_class", "frames", "height",
+                                 "width", "channels", "annotators"))
+        _check_int_fields(self, ("seed",), minimum=0)
         if self.class_count < 2:
             raise InvalidInputError("need at least 2 classes to model ambiguity")
         if not 0.0 <= self.rho <= 1.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset, hard_relabeled
-from .errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
+from .errors import DegenerateMixError, EmptyDatasetError, InvalidInputError, ShapeMismatchError
 from .labels import LabelDecomposition, as_soft_label, one_hot
 from .mixer import _check_lambda, midas_batch
 from .model import soft_cross_entropy as cross_entropy
@@ -56,6 +56,17 @@ class VicinalParams:
             raise InvalidInputError(f"virtual label sums to {total}, expected 1")
 
 
+def _scored(predictor, loss, frames: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """loss(predictor(frames), targets) as (B,) float64, shape-checked at both steps."""
+    probs = predictor(frames)
+    if np.shape(probs) != targets.shape:
+        raise ShapeMismatchError(f"predictor gave {np.shape(probs)} for targets {targets.shape}")
+    losses = np.asarray(loss(probs, targets), dtype=np.float64)
+    if losses.shape != targets.shape[:1]:
+        raise ShapeMismatchError(f"loss gave {losses.shape} for {len(targets)} rows")
+    return losses
+
+
 def _estimate_from_losses(losses: np.ndarray) -> RiskEstimate:
     m = losses.size
     value = float(losses.mean())
@@ -64,13 +75,14 @@ def _estimate_from_losses(losses: np.ndarray) -> RiskEstimate:
 
 
 def empirical_risk(predictor, dataset: LabeledDataset, loss=cross_entropy) -> RiskEstimate:
-    """Mean of loss(predictor(clip), soft label) over the dataset."""
+    """Mean of loss(predictor(dataset.frames), dataset.soft) over the rows.
+
+    ``predictor`` maps a (B, T, H, W, Ch) float32 stack to (B, C)
+    probabilities; ``loss`` maps two (B, C) arrays to (B,) per-row losses.
+    """
     if not len(dataset):
         raise EmptyDatasetError("cannot estimate risk on an empty dataset")
-    losses = np.array(
-        [loss(predictor(e.clip), e.soft) for e in dataset.entries], dtype=np.float64
-    )
-    return _estimate_from_losses(losses)
+    return _estimate_from_losses(_scored(predictor, loss, dataset.frames, dataset.soft))
 
 
 def vicinal_risk(
@@ -84,10 +96,12 @@ def vicinal_risk(
 ) -> RiskEstimate:
     """Monte-Carlo mean of the loss over mixed clip pairs.
 
-    ``label_mode`` selects the target of each mixed clip: "soft" blends the
-    sources' soft labels, "hard" blends one-hot encodings of their hard
-    labels. Either way the blend is the plain convex combination, without
-    softmax renormalization. Deterministic given the generator state.
+    ``predictor`` and ``loss`` follow the batch contracts of
+    ``empirical_risk``. ``label_mode`` selects the target of each mixed
+    clip: "soft" blends the sources' soft labels, "hard" blends one-hot
+    encodings of their hard labels. Either way the blend is the plain convex
+    combination, without softmax renormalization. Deterministic given the
+    generator state.
 
     Draws are made and scored one pass over the dataset at a time. That
     yields the same pairs and weights as one ``midas_batch`` call of
@@ -106,9 +120,7 @@ def vicinal_risk(
         batch = midas_batch(
             source, batch_size=min(n, draws - done), alpha=alpha, rng=rng, normalize=False
         )
-        losses[done:done + len(batch.lams)] = [
-            loss(predictor(s.clip), s.label) for s in batch.samples
-        ]
+        losses[done:done + len(batch.lams)] = _scored(predictor, loss, batch.clips, batch.labels)
         del batch  # let this pass's clips go before the next pass is drawn
     return _estimate_from_losses(losses)
 

@@ -1,8 +1,10 @@
-"""The benchmark's tracer must still find every function it wraps by name.
+"""The benchmark must still run on the package as it is.
 
 ``perfbench/tracer.py`` patches ``midas`` functions and one method from
-outside the package. A renamed or removed target otherwise shows up only
-when the benchmark runs with tracing on.
+outside the package, and ``perfbench/workloads.py`` reads library views
+(``dataset.entries``, ``MixedBatch.samples``) and checks every output
+against independent reference code. A renamed target, a broken view or an
+output mismatch otherwise shows up only when the benchmark runs.
 """
 
 import importlib
@@ -10,9 +12,12 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import midas
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -43,3 +48,18 @@ def test_tracer_installs_and_uninstalls_over_every_module():
     finally:
         tracer.uninstall()
     assert [resolve(m, attr) for m, attr in targets] == originals
+
+
+@pytest.mark.parametrize("name", ["train-mix", "train-fixed", "cli-walkthrough"])
+def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
+    # One set-up and one round of each workload, then the same output checks
+    # as ``perfbench/run.py``, in this process and without timing.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+    workload.setup()
+    workload.prepare(0)
+    stats = workload.round(0)
+    assert stats["failed"] == 0
+    assert stats["attempted"] >= 1
+    workload.check()

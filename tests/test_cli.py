@@ -8,7 +8,7 @@ import pytest
 from midas.cli import main
 from midas.dataset import build_dataset, load_manifest, save_manifest, stratified_split
 from midas.labels import VoteRecord
-from midas.model import TrainConfig, load_checkpoint
+from midas.model import TrainConfig, load_checkpoint, soft_cross_entropy
 
 from conftest import make_clip
 
@@ -396,6 +396,25 @@ class TestRisk:
         doc = json.loads(out)
         assert doc["draws"] == len(load_manifest(val_path))
 
+    def test_empirical_risk_scores_the_eval_posteriors(self, split_corpus, tmp_path, capsys):
+        train_path, val_path = split_corpus
+        ckpt = tmp_path / "m.ckpt"
+        _run(capsys, *_train_args(train_path, val_path, ckpt))
+        code, out, _ = _run(capsys, "eval", "--checkpoint", str(ckpt),
+                            "--manifest", str(val_path))
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        code, out, _ = _run(capsys, "risk", "--manifest", str(val_path),
+                            "--checkpoint", str(ckpt), "--empirical")
+        assert code == 0
+        posteriors = np.array([s["posterior"] for s in samples])
+        soft = np.array([s["soft_label"] for s in samples])
+        losses = soft_cross_entropy(posteriors, soft)
+        doc = json.loads(out)
+        assert doc["draws"] == len(samples)
+        assert doc["value"] == float(losses.mean())
+        assert doc["stderr"] == float(losses.std(ddof=1) / np.sqrt(len(losses)))
+
     def test_hard_label_mode_runs(self, split_corpus, tmp_path, capsys):
         train_path, val_path = split_corpus
         ckpt = tmp_path / "m.ckpt"
@@ -456,6 +475,32 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:") and "u03" in err
         assert not (tmp_path / "clean.json").exists()
+
+    @pytest.mark.parametrize("stored", [
+        ["a", "b", "c"], [0.5, [0.3], 0.2], {"a": 1}, [None, None, None],
+    ], ids=["strings", "ragged", "object", "nulls"])
+    def test_malformed_stored_soft_label_is_an_error(self, tmp_path, capsys, stored):
+        manifest = _corpus(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["entries"][5]["soft"] = stored
+        manifest.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "analyze", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "a01" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_an_error(self, split_corpus, tmp_path, capsys):
+        train_path, val_path = split_corpus
+        for argv in (
+            ["synth", "--out", str(tmp_path / "s.json"), "--seed", "-1"],
+            ["train", "--manifest", str(train_path), "--val", str(val_path),
+             "--out", str(tmp_path / "m.ckpt"), "--seed", "-1"],
+        ):
+            code, _, err = _run(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error:") and "seed" in err
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "m.ckpt").exists()
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

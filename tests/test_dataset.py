@@ -332,6 +332,35 @@ class TestManifest:
         with pytest.raises(VoteLabelMismatchError, match="clip-000"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("stored", [
+        ["a", "b", "c"], [0.6, [0.4], 0.0], {"a": 1}, [None, None, None], "0.6",
+        [float("nan"), 0.4, 0.0], [float("inf"), 0.4, 0.0], [True, False, False],
+        [0.6, 0.4], [0.6, 0.4, 0.0, 0.0], [10 ** 400, 0, 0],
+    ], ids=["strings", "ragged", "object", "nulls", "string", "nan", "inf", "booleans",
+            "short", "long", "huge-int"])
+    def test_malformed_stored_soft_label_rejected(self, tmp_path, stored):
+        ds = make_dataset([[6, 4, 0]])
+        path = tmp_path / "data.json"
+        save_manifest(ds, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["soft"] = stored
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError, match="clip-000"):
+            load_manifest(path)
+
+    def test_integer_stored_soft_label_compared_by_value(self, tmp_path):
+        ds = make_dataset([[10, 0, 0]])
+        path = tmp_path / "data.json"
+        save_manifest(ds, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["soft"] = [1, 0, 0]
+        path.write_text(json.dumps(doc))
+        assert load_manifest(path).hard.tolist() == [0]
+        doc["entries"][0]["soft"] = [0, 1, 0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VoteLabelMismatchError, match="clip-000"):
+            load_manifest(path)
+
     def test_stored_hard_label_cross_checked(self, tmp_path):
         ds = make_dataset([[6, 4, 0]])
         path = tmp_path / "data.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,28 +43,28 @@ class TestFeaturize:
         clip = make_clip("c", value=0.3, shape=(5, 8, 8, 1))
         vec = featurize(clip, (4, 4))
         assert len(vec) == 16
-        np.testing.assert_allclose(vec.values, np.float64(np.float32(0.3)), atol=1e-12)
+        np.testing.assert_allclose(vec, np.float64(np.float32(0.3)), atol=1e-12)
 
     def test_single_pixel_clip_is_temporal_mean(self):
         frames = np.array([0.2, 0.6], dtype=np.float32).reshape(2, 1, 1, 1)
         clip = Clip(clip_id="px", frames=frames)
         vec = featurize(clip, (1, 1))
         expected = frames.astype(np.float64).mean()
-        assert vec.values[0] == pytest.approx(expected, abs=1e-15)
+        assert vec[0] == pytest.approx(expected, abs=1e-15)
 
     def test_linear_in_the_clip(self, rng):
         a = make_clip("a", shape=(4, 10, 6, 2), rng=rng)
         b = make_clip("b", shape=(4, 10, 6, 2), rng=rng)
         lam = 0.37
         mixed = mix_clips(a, b, lam)
-        direct = featurize(mixed, (3, 3)).values
-        combined = lam * featurize(a, (3, 3)).values + (1 - lam) * featurize(b, (3, 3)).values
+        direct = featurize(mixed, (3, 3))
+        combined = lam * featurize(a, (3, 3)) + (1 - lam) * featurize(b, (3, 3))
         # the mixed clip is stored in float32, so allow rounding at that scale
         np.testing.assert_allclose(direct, combined, atol=1e-6)
 
     def test_uneven_blocks_match_loop_reference(self, rng):
         clip = make_clip("u", shape=(3, 5, 7, 2), rng=rng)
-        got = featurize(clip, (2, 3)).values
+        got = featurize(clip, (2, 3))
         mean = clip.frames.astype(np.float64).mean(axis=0)
         row_edges = [0, 2, 5]
         col_edges = [0, 2, 4, 7]
@@ -78,7 +79,7 @@ class TestFeaturize:
     def test_channel_last_flatten_order(self):
         frames = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2) / 10.0
         clip = Clip(clip_id="o", frames=frames)
-        vec = featurize(clip, (2, 2)).values
+        vec = featurize(clip, (2, 2))
         # identity pooling: component (r*W + c)*Ch + ch reads pixel (r, c, ch)
         np.testing.assert_allclose(vec, frames.reshape(-1).astype(np.float64), atol=1e-12)
 
@@ -95,7 +96,28 @@ class TestFeaturize:
         clips = [make_clip(f"c{k}", shape=(3, 6, 6, 1), rng=rng) for k in range(4)]
         stacked = featurize_frames(np.stack([c.frames for c in clips]), (4, 4))
         for k, clip in enumerate(clips):
-            np.testing.assert_array_equal(stacked[k], featurize(clip, (4, 4)).values)
+            np.testing.assert_array_equal(stacked[k], featurize(clip, (4, 4)))
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1, 1, 1), (3, 1, 5, 7, 2), (2, 300, 3, 3, 1), (5, 7, 13, 11, 3),
+        (2, 9, 1, 1, 5), (4, 8, 32, 32, 3),
+    ])
+    def test_temporal_mean_is_bit_identical_to_float64_copy(self, rng, shape):
+        # at full resolution each block is one pixel, so the features are the temporal mean
+        frames = rng.random(shape, dtype=np.float32)
+        got = featurize_frames(frames, shape[2:4])
+        expected = frames.astype(np.float64).mean(axis=1).reshape(shape[0], -1)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_below_the_frames(self, rng):
+        frames = rng.random((40, 8, 32, 32, 3), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            featurize_frames(frames, (8, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes
 
     def test_featurize_dataset_empty_rejected(self):
         ds = build_dataset([], [], class_names=("a", "b"))
@@ -165,6 +187,20 @@ class TestSoftCrossEntropy:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             soft_cross_entropy(np.ones(3) / 3, np.ones(4) / 4)
+
+    def test_rows_match_single_pairs_exactly(self, rng):
+        pred = rng.dirichlet(np.ones(7), size=50)
+        target = rng.dirichlet(np.ones(7), size=50)
+        rows = soft_cross_entropy(pred, target)
+        assert rows.shape == (50,)
+        singles = [soft_cross_entropy(p, t) for p, t in zip(pred, target)]
+        assert all(type(v) is float for v in singles)
+        assert rows.tolist() == singles
+
+    def test_rejects_scalars_and_stacks(self):
+        for shape in ((), (2, 3, 4)):
+            with pytest.raises(ShapeMismatchError):
+                soft_cross_entropy(np.ones(shape), np.ones(shape))
 
 
 class TestGradient:
@@ -347,6 +383,18 @@ class TestConfig:
                       {"target_hw": (True, 2)}, {"epochs": 2.0}):
             with pytest.raises(InvalidInputError):
                 TrainConfig(**field)
+
+    def test_rejects_non_bool_normalize(self):
+        for value in ("off", "on", 0, 1, None):
+            with pytest.raises(InvalidInputError, match="normalize"):
+                TrainConfig(normalize=value)
+        assert TrainConfig(normalize=False).normalize is False
+
+    def test_seed_must_be_a_nonnegative_int(self):
+        for value in (1.5, True, -1, "3", None):
+            with pytest.raises(InvalidInputError, match="seed"):
+                TrainConfig(seed=value)
+        assert TrainConfig(seed=0).seed == 0
 
 
 class TestCheckpoint:

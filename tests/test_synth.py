@@ -76,6 +76,20 @@ class TestSynthConfig:
         with pytest.raises(InvalidInputError):
             SynthConfig(frames=0)
 
+    @pytest.mark.parametrize("name", [
+        "class_count", "samples_per_class", "frames", "height", "width", "channels",
+        "annotators", "seed",
+    ])
+    def test_int_fields_reject_other_types(self, name):
+        for value in (2.5, 3.0, True, "7", None):
+            with pytest.raises(InvalidInputError, match=name):
+                SynthConfig(**{name: value})
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            SynthConfig(seed=-1)
+        assert SynthConfig(seed=0).seed == 0
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midas.dataset import build_dataset
-from midas.errors import DegenerateMixError, EmptyDatasetError, InvalidInputError
-from midas.labels import LabelDecomposition, VoteRecord, decompose, one_hot, renormalize_softmax
+from midas.errors import (
+    DegenerateMixError, EmptyDatasetError, InvalidInputError, ShapeMismatchError,
+)
+from midas.labels import LabelDecomposition, VoteRecord, decompose, one_hot, softmax_rows
 from midas.mixer import midas_batch
+from midas.model import featurize_frames, forward_batch, init_classifier
 from midas.vicinal import (
     RiskEstimate,
     check_vicinal_identity,
@@ -27,8 +30,24 @@ EXAMPLE_VOTES = np.array([0, 0, 2, 1, 0, 6, 1], dtype=np.int64)
 EXAMPLE_SOFT = EXAMPLE_VOTES / EXAMPLE_VOTES.sum()
 
 
-def _soft_label_oracle(entry):
-    return entry.soft
+def _row_lookup(ds, table):
+    """A batch predictor giving ``table[k]`` for each input clip equal to clip k of ``ds``."""
+    flat = ds.frames.reshape(len(ds), -1)
+
+    def predictor(frames):
+        assert frames.dtype == np.float32 and frames.shape[1:] == ds.frames.shape[1:]
+        rows = [int(np.flatnonzero((flat == f.reshape(-1)).all(axis=1))[0]) for f in frames]
+        return table[rows]
+
+    return predictor
+
+
+def _constant_predictor(row):
+    return lambda frames: np.tile(np.asarray(row, dtype=np.float64), (len(frames), 1))
+
+
+def _uniform_predictor(class_count=3):
+    return _constant_predictor(np.full(class_count, 1.0 / class_count))
 
 
 class TestCrossEntropy:
@@ -45,7 +64,7 @@ class TestCrossEntropy:
 class TestEmpiricalRisk:
     def test_perfect_predictor_gives_mean_label_entropy(self):
         ds = make_dataset([[6, 4, 0], [0, 0, 5], [3, 3, 4]])
-        est = empirical_risk(lambda clip: _lookup(ds, clip), ds)
+        est = empirical_risk(_row_lookup(ds, ds.soft), ds)
         entropies = []
         for e in ds.entries:
             entropies.append(-sum(p * math.log(p) for p in e.soft if p > 0))
@@ -53,7 +72,7 @@ class TestEmpiricalRisk:
 
     def test_zero_loss_single_sample(self):
         ds = make_dataset([[6, 4, 0]])
-        est = empirical_risk(lambda clip: None, ds, loss=lambda p, t: 0.0)
+        est = empirical_risk(_uniform_predictor(), ds, loss=lambda p, t: np.zeros(len(t)))
         assert est.value == 0.0
         assert est.stderr == 0.0
         assert est.num_terms == 1
@@ -63,7 +82,8 @@ class TestEmpiricalRisk:
         rows = [r if r.sum() else r + 1 for r in rows]
         ds = make_dataset(rows)
         predictions = {e.clip.clip_id: rng.dirichlet(np.ones(5)) for e in ds.entries}
-        est = empirical_risk(lambda clip: predictions[clip.clip_id], ds)
+        table = np.array([predictions[i] for i in ds.ids])
+        est = empirical_risk(_row_lookup(ds, table), ds)
         # naive two-pass oracle
         losses = []
         for e in ds.entries:
@@ -77,33 +97,44 @@ class TestEmpiricalRisk:
     def test_permutation_invariant(self, rng):
         ds = make_dataset(unanimous_rows([0, 1, 2, 0, 2], class_count=3))
         perm = ds.subset([3, 1, 4, 0, 2])
-        uniform = np.full(3, 1 / 3)
-        a = empirical_risk(lambda clip: uniform, ds)
-        b = empirical_risk(lambda clip: uniform, perm)
+        a = empirical_risk(_uniform_predictor(), ds)
+        b = empirical_risk(_uniform_predictor(), perm)
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_empty_dataset_rejected(self):
         ds = build_dataset([], [], class_names=("a", "b", "c"))
         with pytest.raises(EmptyDatasetError):
-            empirical_risk(lambda clip: None, ds)
+            empirical_risk(lambda frames: None, ds)
 
+    def test_scores_the_whole_dataset_in_one_call(self):
+        ds = make_dataset([[6, 4, 0], [0, 0, 5], [3, 3, 4]])
+        seen = []
 
-def _lookup(ds, clip):
-    for e in ds.entries:
-        if e.clip.clip_id == clip.clip_id:
-            return e.soft
-    raise KeyError(clip.clip_id)
+        def predictor(frames):
+            seen.append(frames)
+            return np.full((len(frames), 3), 1 / 3)
+
+        empirical_risk(predictor, ds)
+        assert len(seen) == 1 and seen[0] is ds.frames
+        assert "entries" not in ds.__dict__
+
+    def test_wrong_shapes_rejected(self):
+        ds = make_dataset([[6, 4, 0], [0, 0, 5], [3, 3, 4]])
+        for predictor in (lambda f: None, lambda f: np.full(3, 1 / 3),
+                          lambda f: np.full((3, 2), 0.5), lambda f: np.full((2, 3), 1 / 3)):
+            with pytest.raises(ShapeMismatchError):
+                empirical_risk(predictor, ds)
+        for loss in (lambda p, t: 0.0, lambda p, t: np.zeros((3, 1)), lambda p, t: np.zeros(2)):
+            with pytest.raises(ShapeMismatchError):
+                empirical_risk(_uniform_predictor(), ds, loss=loss)
 
 
 class TestVicinalRisk:
-    def _uniform_predictor(self, class_count=3):
-        return lambda clip: np.full(class_count, 1.0 / class_count)
-
     def test_constant_loss_has_zero_spread(self, rng):
         ds = make_dataset(unanimous_rows([0, 1, 2], class_count=3))
         est = vicinal_risk(
-            lambda clip: None, ds, alpha=0.8, draws=50, label_mode="soft",
-            rng=rng, loss=lambda p, t: 2.5,
+            _uniform_predictor(), ds, alpha=0.8, draws=50, label_mode="soft",
+            rng=rng, loss=lambda p, t: np.full(len(t), 2.5),
         )
         assert est.value == 2.5
         assert est.stderr == 0.0
@@ -111,9 +142,9 @@ class TestVicinalRisk:
 
     def test_deterministic_under_seed(self):
         ds = make_dataset(unanimous_rows([0, 1, 2, 1], class_count=3))
-        a = vicinal_risk(self._uniform_predictor(), ds, 0.8, 100, "soft",
+        a = vicinal_risk(_uniform_predictor(), ds, 0.8, 100, "soft",
                          np.random.default_rng(4))
-        b = vicinal_risk(self._uniform_predictor(), ds, 0.8, 100, "soft",
+        b = vicinal_risk(_uniform_predictor(), ds, 0.8, 100, "soft",
                          np.random.default_rng(4))
         assert a.value == b.value
         assert a.stderr == b.stderr
@@ -122,7 +153,7 @@ class TestVicinalRisk:
         # unanimous votes make every soft label one-hot, so the two label
         # modes must agree draw by draw under the same generator seed
         ds = make_dataset(unanimous_rows([0, 1, 2, 2, 1, 0], class_count=3))
-        predictor = self._uniform_predictor()
+        predictor = _uniform_predictor()
         a = vicinal_risk(predictor, ds, 0.8, 200, "soft", np.random.default_rng(9))
         b = vicinal_risk(predictor, ds, 0.8, 200, "hard", np.random.default_rng(9))
         assert a.value == pytest.approx(b.value, abs=1e-12)
@@ -135,7 +166,7 @@ class TestVicinalRisk:
         twin = make_clip("b", value=0.25)
         votes = [VoteRecord(np.array([7, 3, 0])), VoteRecord(np.array([7, 3, 0]))]
         ds = build_dataset([frames_clip, twin], votes, class_names=("a", "b", "c"))
-        predictor = lambda clip: np.array([0.5, 0.3, 0.2])
+        predictor = _constant_predictor([0.5, 0.3, 0.2])
         vic = vicinal_risk(predictor, ds, alpha=1e6, draws=64, label_mode="soft",
                            rng=np.random.default_rng(0))
         emp = empirical_risk(predictor, ds)
@@ -146,7 +177,7 @@ class TestVicinalRisk:
             [[6, 4, 0], [1, 8, 1], [0, 2, 8], [5, 3, 2], [2, 2, 6], [7, 2, 1]],
             shape=(2, 2, 2, 1),
         )
-        predictor = lambda clip: np.array([0.5, 0.3, 0.2])
+        predictor = _constant_predictor([0.5, 0.3, 0.2])
         small = vicinal_risk(predictor, ds, 0.8, 10_000, "soft",
                              np.random.default_rng(1))
         large = vicinal_risk(predictor, ds, 0.8, 100_000, "soft",
@@ -157,19 +188,37 @@ class TestVicinalRisk:
     def test_rejects_tiny_dataset(self, rng):
         ds = make_dataset([[6, 4, 0]])
         with pytest.raises(EmptyDatasetError):
-            vicinal_risk(self._uniform_predictor(), ds, 0.8, 10, "soft", rng)
+            vicinal_risk(_uniform_predictor(), ds, 0.8, 10, "soft", rng)
 
     def test_rejects_bad_mode_and_draws(self, rng):
         ds = make_dataset(unanimous_rows([0, 1], class_count=2))
         with pytest.raises(InvalidInputError):
-            vicinal_risk(self._uniform_predictor(2), ds, 0.8, 0, "soft", rng)
+            vicinal_risk(_uniform_predictor(2), ds, 0.8, 0, "soft", rng)
         with pytest.raises(InvalidInputError):
-            vicinal_risk(self._uniform_predictor(2), ds, 0.8, 5, "weird", rng)
+            vicinal_risk(_uniform_predictor(2), ds, 0.8, 5, "weird", rng)
 
+    def test_scores_one_pass_per_call(self):
+        ds = make_dataset(unanimous_rows([0, 1, 2, 0, 1], class_count=3))
+        calls = []
+
+        def predictor(frames):
+            calls.append((frames.shape, frames.dtype))
+            return np.full((len(frames), 3), 1 / 3)
+
+        vicinal_risk(predictor, ds, 0.8, 2 * len(ds) + 3, "soft", np.random.default_rng(0))
+        assert calls == [((k,) + ds.clip_shape, np.float32) for k in (5, 5, 3)]
+
+    def test_wrong_shapes_rejected(self, rng):
+        ds = make_dataset(unanimous_rows([0, 1, 2], class_count=3))
+        with pytest.raises(ShapeMismatchError):
+            vicinal_risk(lambda f: np.full(3, 1 / 3), ds, 0.8, 4, "soft", rng)
+        with pytest.raises(ShapeMismatchError):
+            vicinal_risk(_uniform_predictor(), ds, 0.8, 4, "soft", rng,
+                         loss=lambda p, t: 2.5)
 
     @staticmethod
-    def _pixel_predictor(clip):
-        return renormalize_softmax(4.0 * clip.frames.reshape(-1)[:3])
+    def _pixel_predictor(frames):
+        return softmax_rows(4.0 * frames.reshape(len(frames), -1)[:, :3].astype(np.float64))
 
     @pytest.mark.parametrize("label_mode", ["soft", "hard"])
     def test_equals_one_shot_oracle(self, label_mode):
@@ -185,7 +234,7 @@ class TestVicinalRisk:
             target = s.label if label_mode == "soft" else (
                 s.lam * one_hot(hard[s.source_i], 3) + (1 - s.lam) * one_hot(hard[s.source_j], 3)
             )
-            losses.append(cross_entropy(self._pixel_predictor(s.clip), target))
+            losses.append(cross_entropy(self._pixel_predictor(s.clip.frames[None])[0], target))
         losses = np.array(losses)
         assert est.num_terms == draws
         assert est.value == losses.mean()
@@ -195,14 +244,18 @@ class TestVicinalRisk:
         ds = make_dataset(unanimous_rows([k % 3 for k in range(20)], class_count=3),
                           shape=(8, 32, 32, 3))
         frame_bytes = sum(e.clip.frames.nbytes for e in ds.entries)
-        tracemalloc.start()
-        try:
-            vicinal_risk(self._uniform_predictor(), ds, 0.8, 50 * len(ds), "hard",
-                         np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * frame_bytes
+        model = init_classifier(4 * 4 * 3, 3, (16,), np.random.default_rng(1))
+        # the uniform predictor, and the featurize-and-forward one that `midas risk` uses
+        for predictor in (_uniform_predictor(),
+                          lambda frames: forward_batch(model, featurize_frames(frames, (4, 4)))):
+            tracemalloc.start()
+            try:
+                vicinal_risk(predictor, ds, 0.8, 50 * len(ds), "hard",
+                             np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * frame_bytes
 
 
 class TestReparameterize:
