@@ -45,6 +45,7 @@ from .mixer import (
     MixCoefficient,
     MixedBatch,
     MixSample,
+    draw_pairs,
     midas_batch,
     mix_clips,
     mix_labels,

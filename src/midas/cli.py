@@ -25,6 +25,7 @@ from .dataset import (
     max_vote_histogram,
     partition_by_ambiguity,
     save_manifest,
+    seeded_rng,
     stratified_split,
 )
 from .errors import InvalidInputError, MidasError
@@ -245,10 +246,10 @@ def cmd_ambiguity_ablation(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    rng = seeded_rng(args.seed)
     dataset = load_manifest(args.manifest)
     source = hard_relabeled(dataset) if args.labels == "hard" else dataset
     count = args.n if args.n is not None else len(dataset)
-    rng = np.random.default_rng(args.seed)
     batch = midas_batch(
         source,
         batch_size=count,
@@ -280,6 +281,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_risk(args) -> int:
+    rng = seeded_rng(args.seed)
     dataset = load_manifest(args.manifest)
     model, meta = load_checkpoint(args.checkpoint)
 
@@ -289,7 +291,6 @@ def cmd_risk(args) -> int:
     if args.empirical:
         estimate = empirical_risk(predictor, dataset)
     else:
-        rng = np.random.default_rng(args.seed)
         estimate = vicinal_risk(
             predictor, dataset, alpha=args.alpha, draws=args.draws,
             label_mode=args.labels, rng=rng,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import sys
@@ -47,6 +48,8 @@ CLIP_MAGIC = b"MDSC"
 _CLIP_HEADER = struct.Struct("<4s5I")
 
 MANIFEST_VERSION = 1
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +352,8 @@ def load_manifest(path) -> LabeledDataset:
             raise MalformedRecordError(
                 f"votes must be {class_count} nonnegative integers", clip_id=clip_id
             )
+        if sum(votes_raw) > _INT64_MAX:  # the counts are nonnegative, so each one fits too
+            raise MalformedRecordError("vote counts overflow a 64-bit integer", clip_id=clip_id)
         scenario = record.get("scenario")
         if scenario is not None and not isinstance(scenario, str):
             raise MalformedRecordError("scenario must be a string", clip_id=clip_id)
@@ -404,6 +409,14 @@ def load_manifest(path) -> LabeledDataset:
 # Splitting and grouping
 # ---------------------------------------------------------------------------
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an integer seed >= 0; anything else is an
+    InvalidInputError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an int >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitPair:
     """Split into train/validation, preserving per-class proportions.
 
@@ -416,7 +429,7 @@ def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitP
     if not 0.0 < ratio < 1.0:
         raise InvalidInputError(f"split ratio must lie in (0, 1), got {ratio}")
     require_resolved(dataset)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     is_train = np.zeros(len(dataset), dtype=bool)
     for c in range(dataset.class_count):
         idx = np.flatnonzero(dataset.hard == c)
@@ -491,7 +504,7 @@ def partition_by_ambiguity(
     if not len(dataset):
         raise EmptyDatasetError("cannot partition an empty dataset")
     require_resolved(dataset)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
 
     clear = np.flatnonzero(dataset.soft.max(axis=1) > threshold)
     if not clear.size:

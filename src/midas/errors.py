@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and argument checks shared across the package."""
+
+import math
+import numbers
 
 
 class MidasError(Exception):
@@ -60,3 +63,28 @@ class VoteLabelMismatchError(ManifestError):
 
 class TensorShapeError(ManifestError):
     """A clip's tensor dimensions are inconsistent with the rest of the dataset."""
+
+
+def _ints_at_least(value, minimum: int = 1) -> bool:
+    """A list or tuple of ints >= minimum; booleans (JSON true/false) are not ints here."""
+    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= minimum for v in value)
+
+
+def _check_int_fields(config, names, minimum: int = 1) -> None:
+    """Raise InvalidInputError unless each named field of ``config`` is an int >= minimum."""
+    for name in names:
+        value = getattr(config, name)
+        if not _ints_at_least([value], minimum):
+            raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _check_reals(**values) -> None:
+    """Raise InvalidInputError unless each value is a finite real number; booleans are not."""
+    for name, value in values.items():
+        try:
+            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
+            raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")

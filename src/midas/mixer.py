@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Clip, LabeledDataset, require_resolved
-from .errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError
+from .errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError, _check_reals
 from .labels import as_soft_label, softmax_rows
 
 DEFAULT_ALPHA = 0.8
@@ -49,7 +49,8 @@ class MixSample:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not np.isfinite(alpha) or alpha <= 0.0:
+    _check_reals(alpha=alpha)
+    if alpha <= 0.0:
         raise InvalidInputError(f"alpha must be positive, got {alpha}")
 
 
@@ -64,22 +65,28 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> MixCoefficient:
     return MixCoefficient(lam=float(rng.beta(alpha, alpha)), alpha=alpha)
 
 
-def _blend_frames(out, frames, left, right, lams) -> None:
-    """out[k] = clip(lams[k] * frames[left[k]] + (1 - lams[k]) * frames[right[k]], 0, 1).
+def _blend_chunks(frames, left, right, lams):
+    """Blend pairs of ``frames`` chunk by chunk; yields (rows, block) per chunk.
 
+    The row slices are consecutive and cover ``lams``. For r = rows.start + k,
+    block[k] = clip(lams[r] * frames[left[r]] + (1 - lams[r]) * frames[right[r]], 0, 1).
     The blend runs in float64, which keeps the endpoints exact
-    (1.0*x + 0.0*y == x), and is rounded to ``out``'s float32 on assignment.
+    (1.0*x + 0.0*y == x), and is rounded to float32 in ``block``. The scratch
+    space and the block are reused from one chunk to the next, so they do not
+    grow with the batch, and a block is only valid until the next one.
     """
-    step = max(1, _CHUNK_BYTES // (out[0].size * 8))
+    step = max(1, _CHUNK_BYTES // (frames[0].size * 8))
+    shape = (min(step, len(lams)),) + frames.shape[1:]
+    a, b = np.empty(shape), np.empty(shape)
+    block = np.empty(shape, dtype=np.float32)
     for start in range(0, len(lams), step):
         rows = slice(start, start + step)
-        lam = lams[rows].reshape((-1,) + (1,) * (out.ndim - 1))
-        a = frames[left[rows]].astype(np.float64)
-        b = frames[right[rows]].astype(np.float64)
-        a *= lam
-        b *= 1.0 - lam
-        a += b
-        out[rows] = np.clip(a, 0.0, 1.0, out=a)
+        lam = lams[rows].reshape((-1,) + (1,) * (frames.ndim - 1))
+        m = len(lam)
+        np.multiply(frames[left[rows]], lam, out=a[:m])
+        np.multiply(frames[right[rows]], 1.0 - lam, out=b[:m])
+        a[:m] += b[:m]
+        yield rows, np.clip(a[:m], 0.0, 1.0, out=block[:m])
 
 
 def _blend_labels(labels, left, right, lams, normalize: bool) -> np.ndarray:
@@ -98,9 +105,8 @@ def mix_clips(a: Clip, b: Clip, lam: float, clip_id: str | None = None) -> Clip:
     _check_lambda(lam)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"clip shapes differ: {a.shape} vs {b.shape}")
-    out = np.empty((1,) + a.shape, dtype=np.float32)
     lams = np.array([lam], dtype=np.float64)
-    _blend_frames(out, np.stack([a.frames, b.frames]), [0], [1], lams)
+    _, out = next(_blend_chunks(np.stack([a.frames, b.frames]), [0], [1], lams))
     if clip_id is None:
         clip_id = f"mix({a.clip_id},{b.clip_id})"
     return Clip(clip_id=clip_id, frames=out[0])
@@ -148,22 +154,18 @@ class MixedBatch:
         )
 
 
-def midas_batch(
-    dataset: LabeledDataset,
-    batch_size: int,
-    alpha: float,
-    rng: np.random.Generator,
-    normalize: bool = True,
-) -> MixedBatch:
-    """Draw ``batch_size`` mixed samples from distinct-clip pairs.
+def draw_pairs(
+    dataset: LabeledDataset, batch_size: int, alpha: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and weights of ``batch_size`` mixed samples: (left, right, lams).
 
     Pairs come from full passes over a seeded permutation: within each pass,
     sample i is matched with the entry a fixed nonzero offset further along
     the permutation, so a clip is never mixed with itself. Each pass uses a
     fresh permutation and offset, and every clip appears as a left operand
     exactly once per pass. A fresh blend weight is drawn per pair. A pass
-    draws its permutation, its offset, then all its weights, so a batch of
-    several passes equals the one-pass batches drawn in turn.
+    draws its permutation, its offset, then all its weights, so a draw of
+    several passes equals the one-pass draws made in turn.
     """
     if len(dataset) < 2:
         raise EmptyDatasetError("mixing needs at least 2 clips")
@@ -180,9 +182,25 @@ def midas_batch(
         right = perm[(np.arange(k) + 1 + offset) % n]
         passes.append((perm[:k], right, rng.beta(alpha, alpha, size=k)))
     left, right, lams = (np.concatenate(p) for p in zip(*passes))
+    return left, right, lams
 
+
+def midas_batch(
+    dataset: LabeledDataset,
+    batch_size: int,
+    alpha: float,
+    rng: np.random.Generator,
+    normalize: bool = True,
+) -> MixedBatch:
+    """Draw ``batch_size`` mixed samples from distinct-clip pairs.
+
+    The pairs and weights are those of ``draw_pairs``; each pair's clips and
+    soft labels are blended with its weight.
+    """
+    left, right, lams = draw_pairs(dataset, batch_size, alpha, rng)
     clips = np.empty((batch_size,) + dataset.clip_shape, dtype=np.float32)
-    _blend_frames(clips, dataset.frames, left, right, lams)
+    for rows, block in _blend_chunks(dataset.frames, left, right, lams):
+        clips[rows] = block
     return MixedBatch(
         clips, _blend_labels(dataset.soft, left, right, lams, normalize), lams, left, right,
         dataset.ids, normalize,

@@ -23,27 +23,17 @@ from .errors import (
     MalformedRecordError,
     ShapeMismatchError,
     TrainingDivergedError,
+    _check_int_fields,
+    _check_reals,
+    _ints_at_least,
 )
 from .labels import LOG_CLAMP, softmax_rows
 from .metrics import confusion, uar, war
-from .mixer import _check_alpha, midas_batch
+from .mixer import _blend_chunks, _blend_labels, _check_alpha, draw_pairs
 
 LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
 
 _CKPT_MAGIC = b"MDSW"
-
-
-def _ints_at_least(value, minimum: int = 1) -> bool:
-    """A list or tuple of ints >= minimum; booleans (JSON true/false) are not ints here."""
-    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= minimum for v in value)
-
-
-def _check_int_fields(config, names, minimum: int = 1) -> None:
-    """Raise InvalidInputError unless each named field of ``config`` is an int >= minimum."""
-    for name in names:
-        value = getattr(config, name)
-        if not _ints_at_least([value], minimum):
-            raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,8 @@ class TrainConfig:
         _check_int_fields(self, ("seed",), minimum=0)
         if type(self.normalize) is not bool:
             raise InvalidInputError(f"normalize must be a bool, got {self.normalize!r}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
+        _check_reals(learning_rate=self.learning_rate)
+        if self.learning_rate < 0.0:
             raise InvalidInputError(f"learning rate must be >= 0, got {self.learning_rate}")
         _check_alpha(self.alpha)
         if self.label_mode not in LABEL_MODES:
@@ -268,12 +259,28 @@ def gradient(model: Classifier, features: np.ndarray, targets: np.ndarray):
 # Training
 # ---------------------------------------------------------------------------
 
+def _scores(model: Classifier, features: np.ndarray, dataset: LabeledDataset):
+    """(UAR, WAR) of argmax predictions on ``features``, the featurized ``dataset``."""
+    cm = confusion(forward_batch(model, features).argmax(axis=1), dataset.hard, dataset.class_count)
+    return uar(cm), war(cm)
+
+
 def evaluate(model: Classifier, dataset: LabeledDataset, target_hw) -> tuple[float, float]:
     """(UAR, WAR) of argmax predictions against hard labels."""
     require_resolved(dataset)
-    probs = forward_batch(model, featurize_dataset(dataset, target_hw))
-    cm = confusion(probs.argmax(axis=1), dataset.hard, dataset.class_count)
-    return uar(cm), war(cm)
+    return _scores(model, featurize_dataset(dataset, target_hw), dataset)
+
+
+def _mixed_features(frames, left, right, lams, target_hw) -> np.ndarray:
+    """``featurize_frames`` of the clips ``midas_batch`` blends from these pairs and weights.
+
+    The result is bit for bit the same, but the clips are blended and featurized
+    one chunk at a time, so they are never all held at once.
+    """
+    return np.concatenate([
+        featurize_frames(block, target_hw)
+        for _, block in _blend_chunks(frames, left, right, lams)
+    ])
 
 
 def train(
@@ -290,6 +297,12 @@ def train(
     epoch. Without an explicit validation set the training set is scored
     instead. Everything is driven by one generator seeded from the config,
     so a run is a pure function of (dataset, config).
+
+    Each split is featurized once, before the first epoch, and every epoch
+    is scored on the cached validation features. A mixed epoch draws its
+    pairs and weights as ``midas_batch`` does and blends and featurizes the
+    clips chunk by chunk, so the features are those of ``midas_batch``'s
+    clips, bit for bit, while no whole batch of mixed clips is ever held.
     """
     if not len(dataset):
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -298,10 +311,14 @@ def train(
         raise EmptyDatasetError("mixing modes need at least 2 clips")
     if validation is None:
         validation = dataset
+    require_resolved(validation)
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
     features = featurize_dataset(dataset, config.target_hw)
+    val_features = (
+        features if validation is dataset else featurize_dataset(validation, config.target_hw)
+    )
     n, dim = features.shape
     model = init_classifier(dim, dataset.class_count, config.hidden, rng)
 
@@ -325,12 +342,9 @@ def train(
             epoch_x = features[order]
             epoch_t = fixed_targets[order]
         else:
-            batch = midas_batch(
-                mix_source, batch_size=n, alpha=config.alpha, rng=rng,
-                normalize=config.normalize,
-            )
-            epoch_x = featurize_frames(batch.clips, config.target_hw)
-            epoch_t = batch.labels
+            left, right, lams = draw_pairs(mix_source, n, config.alpha, rng)
+            epoch_x = _mixed_features(mix_source.frames, left, right, lams, config.target_hw)
+            epoch_t = _blend_labels(mix_source.soft, left, right, lams, config.normalize)
 
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
@@ -352,7 +366,7 @@ def train(
                 f"(loss={epoch_loss}, lr={config.learning_rate})"
             )
 
-        v_uar, v_war = evaluate(model, validation, config.target_hw)
+        v_uar, v_war = _scores(model, val_features, validation)
         losses[epoch] = epoch_loss
         val_uars[epoch] = v_uar
         val_wars[epoch] = v_war

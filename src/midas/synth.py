@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int_fields, _check_reals
 from .labels import (
     CLASS_NAMES, LOG_CLAMP, VoteRecord, as_soft_label, filter_unresolved, softmax_rows,
 )
-from .model import _check_int_fields
 
 DRIFT_AMPLITUDE = 0.1
 
@@ -46,17 +45,19 @@ class SynthConfig:
         _check_int_fields(self, ("class_count", "samples_per_class", "frames", "height",
                                  "width", "channels", "annotators"))
         _check_int_fields(self, ("seed",), minimum=0)
+        _check_reals(sigma_between=self.sigma_between, sigma_within=self.sigma_within,
+                     rho=self.rho, tau=self.tau)
         if self.class_count < 2:
             raise InvalidInputError("need at least 2 classes to model ambiguity")
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidInputError(f"rho must lie in [0, 1], got {self.rho}")
-        if not np.isfinite(self.tau) or self.tau <= 0.0:
+        if self.tau <= 0.0:
             raise InvalidInputError(f"tau must be positive, got {self.tau}")
         for name, value in (
             ("sigma_between", self.sigma_between),
             ("sigma_within", self.sigma_within),
         ):
-            if not np.isfinite(value) or value < 0.0:
+            if value < 0.0:
                 raise InvalidInputError(f"{name} must be >= 0, got {value}")
 
     def class_names(self) -> tuple[str, ...]:

@@ -502,6 +502,43 @@ class TestErrorPaths:
             assert err.startswith("error:") and "seed" in err
         assert not (tmp_path / "s.json").exists() and not (tmp_path / "m.ckpt").exists()
 
+    def test_negative_seed_for_split_mix_risk_and_ablation_is_an_error(
+        self, split_corpus, tmp_path, capsys
+    ):
+        train_path, val_path = split_corpus
+        ckpt = tmp_path / "m.ckpt"
+        assert _run(capsys, *_train_args(train_path, val_path, ckpt))[0] == 0
+        cases = (
+            (["split", "--manifest", str(train_path), "--out", str(tmp_path / "neg")],
+             tmp_path / "neg_train.json"),
+            (["mix", "--manifest", str(train_path), "--out", str(tmp_path / "mix.json")],
+             tmp_path / "mix.json"),
+            (["risk", "--manifest", str(val_path), "--checkpoint", str(ckpt),
+              "--draws", "8", "--out", str(tmp_path / "risk.json")],
+             tmp_path / "risk.json"),
+            (["ambiguity-ablation", "--manifest", str(train_path), "--threshold", "0.6",
+              "--epochs", "1", "--out", str(tmp_path / "abl.json")],
+             tmp_path / "abl.json"),
+        )
+        for argv, written in cases:
+            code, out, err = _run(capsys, *argv, "--seed", "-1")
+            assert code == 1, argv[0]
+            assert err.startswith("error:") and "seed" in err
+            assert "Traceback" not in err and out == ""
+            assert not written.exists()
+
+    def test_oversized_vote_count_is_an_error(self, tmp_path, capsys):
+        manifest = _corpus(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["entries"][2]["votes"] = [10**30, 0, 0]
+        manifest.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "analyze", "--manifest", str(manifest),
+                              "--out", str(tmp_path / "a.json"))
+        assert code == 1
+        assert err.startswith("error:") and "u02" in err
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "a.json").exists()
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

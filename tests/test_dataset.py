@@ -291,6 +291,22 @@ class TestManifest:
         with pytest.raises(MalformedRecordError, match="clip-001"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("votes", [
+        [10**30, 0, 0], [2**63, 0, 0], [2**62, 2**62, 0],
+    ], ids=["huge", "one-past-int64", "sum-past-int64"])
+    def test_votes_overflowing_int64_rejected(self, tmp_path, votes):
+        ds = make_dataset([[6, 4, 0], [1, 0, 0]])
+        path = tmp_path / "data.json"
+        save_manifest(ds, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["votes"] = votes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError, match="clip-001"):
+            load_manifest(path)
+        doc["entries"][1]["votes"] = [2**63 - 1, 0, 0]  # the largest total that fits
+        path.write_text(json.dumps(doc))
+        assert load_manifest(path).votes[1, 0] == 2**63 - 1
+
     def test_saving_fewer_entries_prunes_stale_clip_files(self, tmp_path):
         path = tmp_path / "data.json"
         save_manifest(make_dataset(unanimous_rows([k % 3 for k in range(42)])), path)
@@ -454,6 +470,14 @@ class TestStratifiedSplit:
         with pytest.raises(AmbiguousLabelError):
             stratified_split(ds, ratio=0.5, seed=0)
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        ds = make_dataset(unanimous_rows([0, 1] * 4, class_count=2))
+        for seed in (-1, 1.5, True, "3", None):
+            with pytest.raises(InvalidInputError, match="seed"):
+                stratified_split(ds, ratio=0.5, seed=seed)
+        a = stratified_split(ds, ratio=0.5, seed=np.int64(4))
+        assert a.train.ids == stratified_split(ds, ratio=0.5, seed=4).train.ids
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_split_sizes_stable_across_seeds(self, seed):
@@ -540,6 +564,11 @@ class TestPartitionByAmbiguity:
     def test_rejects_bad_threshold(self):
         with pytest.raises(InvalidInputError):
             partition_by_ambiguity(self._dataset(), 1.1, balance=False, seed=0)
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in (-1, 2.0, False, None):
+            with pytest.raises(InvalidInputError, match="seed"):
+                partition_by_ambiguity(self._dataset(), 0.8, balance=True, seed=seed)
 
     def test_deterministic_under_seed(self):
         ds = self._dataset()

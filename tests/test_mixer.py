@@ -212,7 +212,7 @@ class TestMidasBatch:
         with pytest.raises(AmbiguousLabelError):
             midas_batch(ds, batch_size=2, alpha=0.8, rng=rng)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, "0.8", None, True])
     def test_rejects_bad_alpha(self, rng, alpha):
         with pytest.raises(InvalidInputError):
             midas_batch(self._dataset(), batch_size=4, alpha=alpha, rng=rng)

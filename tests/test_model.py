@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from midas.dataset import Clip, build_dataset
+from midas import mixer
+from midas.dataset import Clip, build_dataset, hard_relabeled
 from midas.errors import (
     AmbiguousLabelError,
     EmptyDatasetError,
@@ -17,8 +18,9 @@ from midas.errors import (
     TrainingDivergedError,
 )
 from midas.labels import VoteRecord
-from midas.mixer import mix_clips
+from midas.mixer import draw_pairs, midas_batch, mix_clips
 from midas.model import (
+    LABEL_MODES,
     Classifier,
     TrainConfig,
     evaluate,
@@ -33,6 +35,7 @@ from midas.model import (
     save_checkpoint,
     soft_cross_entropy,
     train,
+    _mixed_features,
 )
 
 from conftest import make_clip, make_dataset, unanimous_rows
@@ -355,6 +358,104 @@ class TestTrain:
         assert 0 <= history.best_epoch < 3
 
 
+def _varied_votes(n, class_count=3, seed=1):
+    """Vote rows with unique maxima that are not unanimous, so soft != one-hot."""
+    rng = np.random.default_rng(seed)
+    rows = rng.multinomial(10, np.full(class_count, 1 / class_count), size=n)
+    rows[np.arange(n), np.arange(n) % class_count] += 11
+    return rows
+
+
+class TestFeaturizeEachSplitOnce:
+    """``train`` featurizes each split once and streams mixed epochs through the featurizer."""
+
+    CHUNK = 4  # rows per blend chunk, set through mixer._CHUNK_BYTES
+    N = 7
+    SHAPES = [(3, 6, 5, 1), (2, 6, 6, 3)]
+
+    def _small_chunks(self, monkeypatch, shape):
+        monkeypatch.setattr(mixer, "_CHUNK_BYTES", self.CHUNK * math.prod(shape) * 8)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("batch_size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * N + N // 3])
+    def test_streamed_features_equal_the_featurized_batch(self, monkeypatch, shape, batch_size):
+        self._small_chunks(monkeypatch, shape)
+        ds = make_dataset(_varied_votes(self.N), shape=shape, seed=4)
+        batch = midas_batch(ds, batch_size, 0.8, np.random.default_rng(9))
+        left, right, lams = draw_pairs(ds, batch_size, 0.8, np.random.default_rng(9))
+        for got, want in ((left, batch.left), (right, batch.right), (lams, batch.lams)):
+            assert got.tobytes() == want.tobytes()
+        got = _mixed_features(ds.frames, left, right, lams, (2, 3))
+        assert got.tobytes() == featurize_frames(batch.clips, (2, 3)).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mode", ["midas", "midas_hard"])
+    def test_mixed_epochs_train_on_the_features_of_midas_batch(self, monkeypatch, shape, mode):
+        self._small_chunks(monkeypatch, shape)
+        ds = make_dataset(_varied_votes(2 * self.CHUNK + 1), shape=shape, seed=5)
+        cfg = TrainConfig(epochs=3, batch_size=4, label_mode=mode, seed=6, hidden=(5,),
+                          target_hw=(2, 2))
+        seen = []
+        real_gradient = gradient
+
+        def recording(model, xb, tb):
+            seen.append((xb.copy(), tb.copy()))
+            return real_gradient(model, xb, tb)
+
+        monkeypatch.setattr("midas.model.gradient", recording)
+        train(ds, cfg)
+        # Replay the run's generator: the initial weights, then one midas_batch per epoch.
+        rng = np.random.default_rng(cfg.seed)
+        init_classifier(featurize_dataset(ds, cfg.target_hw).shape[1], 3, cfg.hidden, rng)
+        source = hard_relabeled(ds) if mode == "midas_hard" else ds
+        steps = -(-len(ds) // cfg.batch_size)
+        for epoch in range(cfg.epochs):
+            batch = midas_batch(source, len(ds), cfg.alpha, rng, normalize=cfg.normalize)
+            epoch_steps = seen[epoch * steps:(epoch + 1) * steps]
+            x, t = (np.concatenate(parts) for parts in zip(*epoch_steps))
+            assert x.tobytes() == featurize_frames(batch.clips, cfg.target_hw).tobytes()
+            assert t.tobytes() == batch.labels.tobytes()
+        assert len(seen) == cfg.epochs * steps
+
+    @pytest.mark.parametrize("mode", LABEL_MODES)
+    def test_validation_rows_are_featurized_once(self, monkeypatch, mode):
+        ds = make_dataset(_varied_votes(9), seed=2)
+        val = make_dataset(_varied_votes(4, seed=3), seed=3)
+        calls = []
+        real_featurize = featurize_frames
+
+        def counting(frames, target_hw):
+            calls.append(frames is val.frames)
+            return real_featurize(frames, target_hw)
+
+        monkeypatch.setattr("midas.model.featurize_frames", counting)
+        cfg = TrainConfig(epochs=5, label_mode=mode, hidden=(4,), target_hw=(2, 2))
+        train(ds, cfg, validation=val)
+        assert calls.count(True) == 1
+
+    @pytest.mark.parametrize("mode", LABEL_MODES)
+    def test_no_validation_set_scores_the_training_set(self, mode):
+        ds = make_dataset(_varied_votes(9), seed=2)
+        cfg = TrainConfig(epochs=4, label_mode=mode, seed=1, hidden=(4,), target_hw=(2, 2))
+        m1, h1 = train(ds, cfg)
+        m2, h2 = train(ds, cfg, validation=ds.subset(np.arange(len(ds))))
+        for a, b in zip(m1.weights + m1.biases + [h1.loss, h1.val_uar, h1.val_war],
+                        m2.weights + m2.biases + [h2.loss, h2.val_uar, h2.val_war]):
+            assert a.tobytes() == b.tobytes()
+        assert h1.best_epoch == h2.best_epoch
+
+    def test_mixed_training_holds_no_mixed_batch(self):
+        ds = make_dataset(unanimous_rows([k % 4 for k in range(200)]), shape=(8, 32, 32, 3))
+        cfg = TrainConfig(epochs=2, label_mode="midas", hidden=(8,), target_hw=(4, 4))
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.frames.nbytes / 2
+
+
 class TestConfig:
     def test_hash_is_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
@@ -395,6 +496,14 @@ class TestConfig:
             with pytest.raises(InvalidInputError, match="seed"):
                 TrainConfig(seed=value)
         assert TrainConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("name", ["learning_rate", "alpha"])
+    def test_float_fields_must_be_finite_real_numbers(self, name):
+        for value in ("0.1", None, True, np.bool_(True), [0.1], math.nan, math.inf, 10**400):
+            with pytest.raises(InvalidInputError, match=name):
+                TrainConfig(**{name: value})
+        for value in (1, 0.25, np.float32(0.5)):
+            assert getattr(TrainConfig(**{name: value}), name) == value
 
 
 class TestCheckpoint:

@@ -85,6 +85,13 @@ class TestSynthConfig:
             with pytest.raises(InvalidInputError, match=name):
                 SynthConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["sigma_between", "sigma_within", "rho", "tau"])
+    def test_float_fields_must_be_finite_real_numbers(self, name):
+        for value in ("0.3", None, True, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match=name):
+                SynthConfig(**{name: value})
+        assert getattr(SynthConfig(**{name: 1}), name) == 1
+
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError, match="seed"):
             SynthConfig(seed=-1)
