@@ -88,7 +88,6 @@ def _quantized(model: Classifier) -> Classifier:
     return Classifier(
         weights=[w.astype("<f4").astype(np.float64) for w in model.weights],
         biases=[b.astype("<f4").astype(np.float64) for b in model.biases],
-        activation=model.activation,
     )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import struct
 import sys
@@ -41,6 +40,7 @@ from .errors import (
     MissingClipFileError,
     TensorShapeError,
     VoteLabelMismatchError,
+    check_number,
 )
 from .labels import CLASS_NAMES, SOFT_LABEL_ATOL, VoteRecord
 
@@ -61,14 +61,9 @@ class Clip:
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float32)
-        if frames.ndim != 4 or frames.shape[0] < 1:
-            raise InvalidInputError(
-                f"clip {self.clip_id!r}: frames must have shape (T, H, W, Ch) with T >= 1"
-            )
-        if not np.all(np.isfinite(frames)):
-            raise InvalidInputError(f"clip {self.clip_id!r}: frames contain non-finite values")
-        if float(frames.min()) < 0.0 or float(frames.max()) > 1.0:
-            raise InvalidInputError(f"clip {self.clip_id!r}: frame values must lie in [0, 1]")
+        if frames.ndim != 4:
+            raise InvalidInputError(f"clip {self.clip_id!r}: frames must have shape (T, H, W, Ch)")
+        _check_frames(frames[None], (self.clip_id,))
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -117,10 +112,8 @@ class LabeledDataset:
         n = len(ids)
         scenarios = (None,) * n if self.scenarios is None else tuple(self.scenarios)
         class_names = tuple(self.class_names)
-        if frames.ndim != 5 or min(frames.shape[1:]) < 1:
-            raise InvalidInputError(
-                f"frames must have shape (N, T, H, W, Ch) with T, H, W, Ch >= 1, got {frames.shape}"
-            )
+        if frames.ndim != 5:
+            raise InvalidInputError(f"frames must have shape (N, T, H, W, Ch), got {frames.shape}")
         if not class_names:
             raise InvalidInputError("a dataset needs at least one class name")
         if votes.ndim != 2 or len(votes) != n or len(frames) != n or len(scenarios) != n:
@@ -128,15 +121,12 @@ class LabeledDataset:
                 f"{len(frames)} clips, votes {votes.shape} and {len(scenarios)} scenarios "
                 f"for {n} clip ids"
             )
-        lo = frames.min(axis=(1, 2, 3, 4))
-        hi = frames.max(axis=(1, 2, 3, 4))
         totals = votes.sum(axis=1)
         _reject_first(
             ids, np.full(n, votes.shape[1] != len(class_names)),
             f"vote vector length {votes.shape[1]} != C={len(class_names)}",
         )
-        _reject_first(ids, ~(np.isfinite(lo) & np.isfinite(hi)), "frames contain non-finite values")
-        _reject_first(ids, (lo < 0.0) | (hi > 1.0), "frame values must lie in [0, 1]")
+        _check_frames(frames, ids)
         _reject_first(ids, (votes < 0).any(axis=1), "vote counts must be nonnegative")
         _reject_first(ids, totals < 1, "vote record must contain at least one vote")
         top = votes.max(axis=1)
@@ -178,6 +168,17 @@ class LabeledDataset:
             ids=tuple(self.ids[k] for k in rows.tolist()),
             scenarios=tuple(self.scenarios[k] for k in rows.tolist()),
         )
+
+
+def _check_frames(frames: np.ndarray, ids) -> None:
+    """Raise unless the (N, T, H, W, Ch) stack ``frames`` has T, H, W, Ch >= 1 and finite
+    values in [0, 1]; a bad value is reported against its clip id in ``ids``."""
+    if min(frames.shape[1:]) < 1:
+        raise InvalidInputError(f"frames must have T, H, W, Ch >= 1, got {frames.shape[1:]}")
+    lo = frames.min(axis=(1, 2, 3, 4))
+    hi = frames.max(axis=(1, 2, 3, 4))
+    _reject_first(ids, ~(np.isfinite(lo) & np.isfinite(hi)), "frames contain non-finite values")
+    _reject_first(ids, (lo < 0.0) | (hi > 1.0), "frame values must lie in [0, 1]")
 
 
 def _reject_first(ids, bad, problem: str, error=InvalidInputError) -> None:
@@ -412,9 +413,7 @@ def load_manifest(path) -> LabeledDataset:
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)`` for an integer seed >= 0; anything else is an
     InvalidInputError."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be an int >= 0, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_number("seed", seed, 0, integral=True))
 
 
 def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitPair:
@@ -426,8 +425,7 @@ def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitP
     """
     if not len(dataset):
         raise EmptyDatasetError("cannot split an empty dataset")
-    if not 0.0 < ratio < 1.0:
-        raise InvalidInputError(f"split ratio must lie in (0, 1), got {ratio}")
+    check_number("ratio", ratio, 0, 1, open=True)
     require_resolved(dataset)
     rng = seeded_rng(seed)
     is_train = np.zeros(len(dataset), dtype=bool)
@@ -499,8 +497,7 @@ def partition_by_ambiguity(
     the input dataset's and both have ``group_size`` entries
     (default: the clear group's size).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidInputError(f"threshold must lie in [0, 1], got {threshold}")
+    check_number("threshold", threshold, 0, 1)
     if not len(dataset):
         raise EmptyDatasetError("cannot partition an empty dataset")
     require_resolved(dataset)
@@ -509,9 +506,8 @@ def partition_by_ambiguity(
     clear = np.flatnonzero(dataset.soft.max(axis=1) > threshold)
     if not clear.size:
         raise EmptyClearGroupError(f"no sample has max soft label > {threshold}")
-    size = clear.size if group_size is None else int(group_size)
-    if size < 1 or size > len(dataset):
-        raise InvalidInputError(f"group size {size} outside [1, {len(dataset)}]")
+    size = clear.size if group_size is None else check_number(
+        "group_size", group_size, 1, len(dataset), integral=True)
     mixed = np.sort(rng.choice(len(dataset), size=size, replace=False))
 
     if balance:

@@ -65,26 +65,41 @@ class TensorShapeError(ManifestError):
     """A clip's tensor dimensions are inconsistent with the rest of the dataset."""
 
 
-def _ints_at_least(value, minimum: int = 1) -> bool:
-    """A list or tuple of ints >= minimum; booleans (JSON true/false) are not ints here."""
-    return isinstance(value, (list, tuple)) and all(type(v) is int and v >= minimum for v in value)
+def check_number(name: str, value, low=None, high=None, *, integral: bool = False,
+                 open: bool = False):
+    """Return ``value`` if it is a number within the given bounds; else raise InvalidInputError.
+
+    A number is a finite real, or with ``integral`` an integer (Python or
+    numpy), which comes back as a Python ``int``; a bool is neither. The
+    bounds are inclusive unless ``open`` is set. The error names ``name``.
+    """
+    kind = type(value)  # exact int and float skip the slower abstract-class checks
+    try:
+        ok = (kind is not bool
+              and ((kind is int or isinstance(value, numbers.Integral)) if integral
+                   else (kind is float or isinstance(value, numbers.Real)) and math.isfinite(value))
+              and (low is None or (value > low if open else value >= low))
+              and (high is None or (value < high if open else value <= high)))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if ok:
+        return int(value) if integral else value
+    rule = "an int" if integral else "a finite real number"
+    if low is not None and high is not None:
+        rule += f" in {'(' if open else '['}{low}, {high}{')' if open else ']'}"
+    elif low is not None:
+        rule += f" {'>' if open else '>='} {low}"
+    elif high is not None:
+        rule += f" {'<' if open else '<='} {high}"
+    raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
 
 
-def _check_int_fields(config, names, minimum: int = 1) -> None:
-    """Raise InvalidInputError unless each named field of ``config`` is an int >= minimum."""
-    for name in names:
-        value = getattr(config, name)
-        if not _ints_at_least([value], minimum):
-            raise InvalidInputError(f"{name} must be an int >= {minimum}, got {value!r}")
-
-
-def _check_reals(**values) -> None:
-    """Raise InvalidInputError unless each value is a finite real number; booleans are not."""
-    for name, value in values.items():
-        try:
-            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                  and math.isfinite(value))
-        except OverflowError:  # an int beyond the float range
-            ok = False
-        if not ok:
-            raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+def check_sizes(name: str, values, count: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints >= 1, ``count`` of them when given; else InvalidInputError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence of ints >= 1, got {values!r}") from None
+    if count is not None and len(values) != count:
+        raise InvalidInputError(f"{name} must hold {count} ints >= 1, got {values!r}")
+    return tuple(check_number(f"{name}[{k}]", v, 1, integral=True) for k, v in enumerate(values))

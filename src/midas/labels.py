@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AmbiguousLabelError, InvalidInputError
+from .errors import AmbiguousLabelError, InvalidInputError, check_number
 
 if TYPE_CHECKING:
     from .dataset import LabeledDataset
@@ -40,7 +40,10 @@ class VoteRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":  # floats would truncate; bools are not counts
+            raise InvalidInputError(f"vote counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         if counts.ndim != 1 or counts.size < 1:
             raise InvalidInputError("vote counts must be a nonempty 1-d vector")
         if np.any(counts < 0):
@@ -72,8 +75,7 @@ class LabelDecomposition:
 
 def one_hot(index: int, class_count: int) -> np.ndarray:
     """One-hot probability vector with a 1 at ``index``."""
-    if not 0 <= index < class_count:
-        raise InvalidInputError(f"class index {index} out of range [0, {class_count})")
+    index = check_number("index", index, 0, class_count - 1, integral=True)
     vec = np.zeros(class_count, dtype=np.float64)
     vec[index] = 1.0
     return vec
@@ -158,8 +160,7 @@ def decompose(soft: np.ndarray, votes: VoteRecord, true_class: int) -> LabelDeco
     derived = aggregate_votes(votes)
     if soft.shape != derived.shape or np.max(np.abs(soft - derived)) > SOFT_LABEL_ATOL:
         raise InvalidInputError("soft label is inconsistent with the vote record")
-    if not 0 <= true_class < votes.counts.size:
-        raise InvalidInputError(f"true_class {true_class} out of range")
+    true_class = check_number("true_class", true_class, 0, votes.counts.size - 1, integral=True)
     correct = int(votes.counts[true_class])
     wrong = votes.counts / votes.total
     wrong[true_class] = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset, require_resolved
-from .errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError
+from .errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -80,8 +80,7 @@ def confusion(preds, truths, class_count: int) -> ConfusionMatrix:
         )
     if preds.size < 1:
         raise InvalidInputError("cannot build a confusion matrix from zero samples")
-    if class_count < 1:
-        raise InvalidInputError(f"class_count must be >= 1, got {class_count}")
+    class_count = check_number("class_count", class_count, 1, integral=True)
     for name, ids in (("prediction", preds), ("truth", truths)):
         bad = (ids < 0) | (ids >= class_count)
         if np.any(bad):

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Clip, LabeledDataset, require_resolved
-from .errors import EmptyDatasetError, InvalidInputError, ShapeMismatchError, _check_reals
+from .errors import EmptyDatasetError, ShapeMismatchError, check_number
 from .labels import as_soft_label, softmax_rows
 
 DEFAULT_ALPHA = 0.8
@@ -32,8 +32,8 @@ class MixCoefficient:
     alpha: float
 
     def __post_init__(self):
-        _check_lambda(self.lam)
-        _check_alpha(self.alpha)
+        check_number("lam", self.lam, 0, 1)
+        check_number("alpha", self.alpha, 0, open=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +48,9 @@ class MixSample:
     normalized: bool = True
 
 
-def _check_alpha(alpha: float) -> None:
-    _check_reals(alpha=alpha)
-    if alpha <= 0.0:
-        raise InvalidInputError(f"alpha must be positive, got {alpha}")
-
-
-def _check_lambda(lam: float) -> None:
-    if not np.isfinite(lam) or not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
-
-
 def sample_lambda(alpha: float, rng: np.random.Generator) -> MixCoefficient:
     """Draw a blend weight from Beta(alpha, alpha)."""
-    _check_alpha(alpha)
+    check_number("alpha", alpha, 0, open=True)
     return MixCoefficient(lam=float(rng.beta(alpha, alpha)), alpha=alpha)
 
 
@@ -102,7 +91,7 @@ def mix_clips(a: Clip, b: Clip, lam: float, clip_id: str | None = None) -> Clip:
     At lam = 1 or lam = 0 the result reproduces the surviving clip's frames
     bit for bit.
     """
-    _check_lambda(lam)
+    check_number("lam", lam, 0, 1)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"clip shapes differ: {a.shape} vs {b.shape}")
     lams = np.array([lam], dtype=np.float64)
@@ -120,7 +109,7 @@ def mix_labels(
     With ``normalize`` the convex combination is passed through a softmax;
     without it the raw combination (which already sums to 1) is returned.
     """
-    _check_lambda(lam)
+    check_number("lam", lam, 0, 1)
     y_a = as_soft_label(y_a)
     y_b = as_soft_label(y_b, class_count=y_a.size)
     lams = np.array([lam], dtype=np.float64)
@@ -169,10 +158,9 @@ def draw_pairs(
     """
     if len(dataset) < 2:
         raise EmptyDatasetError("mixing needs at least 2 clips")
-    if batch_size < 1:
-        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = check_number("batch_size", batch_size, 1, integral=True)
     require_resolved(dataset)
-    _check_alpha(alpha)
+    check_number("alpha", alpha, 0, open=True)
     n = len(dataset)
     passes = []
     for start in range(0, batch_size, n):

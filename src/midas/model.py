@@ -23,13 +23,12 @@ from .errors import (
     MalformedRecordError,
     ShapeMismatchError,
     TrainingDivergedError,
-    _check_int_fields,
-    _check_reals,
-    _ints_at_least,
+    check_number,
+    check_sizes,
 )
 from .labels import LOG_CLAMP, softmax_rows
 from .metrics import confusion, uar, war
-from .mixer import _blend_chunks, _blend_labels, _check_alpha, draw_pairs
+from .mixer import _blend_chunks, _blend_labels, draw_pairs
 
 LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
 
@@ -51,24 +50,19 @@ class TrainConfig:
     target_hw: tuple[int, int] = (4, 4)
 
     def __post_init__(self):
-        _check_int_fields(self, ("epochs", "batch_size"))
-        _check_int_fields(self, ("seed",), minimum=0)
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = check_number(name, getattr(self, name), low, integral=True)
+            object.__setattr__(self, name, value)
         if type(self.normalize) is not bool:
             raise InvalidInputError(f"normalize must be a bool, got {self.normalize!r}")
-        _check_reals(learning_rate=self.learning_rate)
-        if self.learning_rate < 0.0:
-            raise InvalidInputError(f"learning rate must be >= 0, got {self.learning_rate}")
-        _check_alpha(self.alpha)
+        check_number("learning_rate", self.learning_rate, 0)
+        check_number("alpha", self.alpha, 0, open=True)
         if self.label_mode not in LABEL_MODES:
             raise InvalidInputError(
                 f"label_mode must be one of {LABEL_MODES}, got {self.label_mode!r}"
             )
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "target_hw", tuple(self.target_hw))
-        if not _ints_at_least(self.hidden):
-            raise InvalidInputError(f"hidden sizes must be ints >= 1, got {self.hidden}")
-        if len(self.target_hw) != 2 or not _ints_at_least(self.target_hw):
-            raise InvalidInputError(f"target_hw must be two positive ints, got {self.target_hw}")
+        object.__setattr__(self, "hidden", check_sizes("hidden", self.hidden))
+        object.__setattr__(self, "target_hw", check_sizes("target_hw", self.target_hw, 2))
 
     def hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True)
@@ -81,11 +75,8 @@ class Classifier:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation != "tanh":
-            raise InvalidInputError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise InvalidInputError("weights and biases must be nonempty and parallel")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -106,7 +97,6 @@ class Classifier:
         return Classifier(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
         )
 
 
@@ -152,10 +142,10 @@ def featurize(clip: Clip, target_hw: tuple[int, int]) -> np.ndarray:
 
 def featurize_frames(frames: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
     """``featurize`` over a (B, T, H, W, Ch) stack; returns (B, D)."""
-    h, w = int(target_hw[0]), int(target_hw[1])
+    h, w = check_sizes("target_hw", target_hw, 2)
     _, _, height, width, _ = frames.shape
-    if h < 1 or w < 1 or h > height or w > width:
-        raise InvalidInputError(f"target {h}x{w} outside [1, {height}]x[1, {width}]")
+    check_number("target_hw[0]", h, 1, height, integral=True)
+    check_number("target_hw[1]", w, 1, width, integral=True)
     mean = frames.mean(axis=1, dtype=np.float64)  # accumulates in float64 without a copy
     rows = _block_starts(height, h)
     row_sizes = np.diff(np.append(rows, height))
@@ -322,12 +312,8 @@ def train(
     n, dim = features.shape
     model = init_classifier(dim, dataset.class_count, config.hidden, rng)
 
-    fixed_targets = None
-    if config.label_mode == "hard":
-        fixed_targets = np.eye(dataset.class_count)[dataset.hard]
-    elif config.label_mode == "soft":
-        fixed_targets = dataset.soft
-    mix_source = hard_relabeled(dataset) if config.label_mode == "midas_hard" else dataset
+    # hard_relabeled's soft rows are exact one-hots (total / total == 1.0).
+    source = hard_relabeled(dataset) if config.label_mode in ("hard", "midas_hard") else dataset
 
     losses = np.empty(config.epochs, dtype=np.float64)
     val_uars = np.empty(config.epochs, dtype=np.float64)
@@ -337,14 +323,14 @@ def train(
     best_model = model.copy()
 
     for epoch in range(config.epochs):
-        if fixed_targets is not None:
+        if config.label_mode in ("hard", "soft"):
             order = rng.permutation(n)
             epoch_x = features[order]
-            epoch_t = fixed_targets[order]
+            epoch_t = source.soft[order]
         else:
-            left, right, lams = draw_pairs(mix_source, n, config.alpha, rng)
-            epoch_x = _mixed_features(mix_source.frames, left, right, lams, config.target_hw)
-            epoch_t = _blend_labels(mix_source.soft, left, right, lams, config.normalize)
+            left, right, lams = draw_pairs(source, n, config.alpha, rng)
+            epoch_x = _mixed_features(source.frames, left, right, lams, config.target_hw)
+            epoch_t = _blend_labels(source.soft, left, right, lams, config.normalize)
 
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
@@ -389,7 +375,7 @@ def save_checkpoint(model: Classifier, path, config: TrainConfig | None = None) 
     header = {
         "format": _CKPT_MAGIC.decode("ascii"),
         "layer_sizes": list(model.layer_sizes),
-        "activation": model.activation,
+        "activation": "tanh",
         "config_hash": config.hash() if config is not None else "",
         "target_hw": list(config.target_hw) if config is not None else [4, 4],
     }
@@ -418,9 +404,15 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
         raise MalformedRecordError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _CKPT_MAGIC.decode("ascii"):
         raise MalformedRecordError("not a classifier checkpoint")
-    sizes = header.get("layer_sizes")
-    if not _ints_at_least(sizes) or len(sizes) < 2:
-        raise MalformedRecordError("checkpoint layer_sizes missing or invalid")
+    try:
+        sizes = check_sizes("layer_sizes", header.get("layer_sizes"))
+        target_hw = check_sizes("target_hw", header.get("target_hw", [4, 4]), 2)
+    except InvalidInputError as exc:
+        raise MalformedRecordError(f"checkpoint {exc}") from exc
+    if len(sizes) < 2:
+        raise MalformedRecordError(f"checkpoint layer_sizes must hold >= 2 sizes, got {sizes}")
+    if header.get("activation", "tanh") != "tanh":
+        raise MalformedRecordError(f"unsupported checkpoint activation {header['activation']!r}")
     expected = sum(
         d_in * d_out + d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])
     )
@@ -437,14 +429,5 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
         pos += d_in * d_out
         biases.append(flat[pos:pos + d_out].copy())
         pos += d_out
-    target_hw = header.get("target_hw", [4, 4])
-    if not _ints_at_least(target_hw) or len(target_hw) != 2:
-        raise MalformedRecordError(f"checkpoint target_hw must be two ints >= 1, got {target_hw!r}")
-    model = Classifier(
-        weights=weights, biases=biases, activation=header.get("activation", "tanh")
-    )
-    meta = {
-        "config_hash": str(header.get("config_hash", "")),
-        "target_hw": tuple(target_hw),
-    }
-    return model, meta
+    meta = {"config_hash": str(header.get("config_hash", "")), "target_hw": target_hw}
+    return Classifier(weights=weights, biases=biases), meta

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import InvalidInputError, _check_int_fields, _check_reals
+from .errors import check_number
 from .labels import (
     CLASS_NAMES, LOG_CLAMP, VoteRecord, as_soft_label, filter_unresolved, softmax_rows,
 )
@@ -42,23 +42,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int_fields(self, ("class_count", "samples_per_class", "frames", "height",
-                                 "width", "channels", "annotators"))
-        _check_int_fields(self, ("seed",), minimum=0)
-        _check_reals(sigma_between=self.sigma_between, sigma_within=self.sigma_within,
-                     rho=self.rho, tau=self.tau)
-        if self.class_count < 2:
-            raise InvalidInputError("need at least 2 classes to model ambiguity")
-        if not 0.0 <= self.rho <= 1.0:
-            raise InvalidInputError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.tau <= 0.0:
-            raise InvalidInputError(f"tau must be positive, got {self.tau}")
-        for name, value in (
-            ("sigma_between", self.sigma_between),
-            ("sigma_within", self.sigma_within),
-        ):
-            if value < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0, got {value}")
+        # Ambiguity needs at least two classes to blend.
+        for name, low in (("class_count", 2), ("samples_per_class", 1), ("frames", 1),
+                          ("height", 1), ("width", 1), ("channels", 1), ("annotators", 1),
+                          ("seed", 0)):
+            value = check_number(name, getattr(self, name), low, integral=True)
+            object.__setattr__(self, name, value)
+        check_number("sigma_between", self.sigma_between, 0)
+        check_number("sigma_within", self.sigma_within, 0)
+        check_number("rho", self.rho, 0, 1)
+        check_number("tau", self.tau, 0, open=True)
 
     def class_names(self) -> tuple[str, ...]:
         if self.class_count == len(CLASS_NAMES):
@@ -75,10 +68,8 @@ def simulate_annotators(
     softmax(log(true_mixture) / tau). At tau = 1 this is the mixture itself;
     smaller tau sharpens it toward the dominant class.
     """
-    if annotators < 1:
-        raise InvalidInputError(f"annotator count must be >= 1, got {annotators}")
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
+    annotators = check_number("annotators", annotators, 1, integral=True)
+    check_number("tau", tau, 0, open=True)
     mixture = as_soft_label(true_mixture)
     p = softmax_rows(np.log(np.clip(mixture, LOG_CLAMP, None))[None] / tau)[0]
     counts = rng.multinomial(annotators, p)

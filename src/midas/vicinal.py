@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset, hard_relabeled
-from .errors import DegenerateMixError, EmptyDatasetError, InvalidInputError, ShapeMismatchError
+from .errors import (
+    DegenerateMixError, EmptyDatasetError, InvalidInputError, ShapeMismatchError, check_number,
+)
 from .labels import LabelDecomposition, as_soft_label, one_hot
-from .mixer import _check_lambda, midas_batch
+from .mixer import midas_batch
 from .model import soft_cross_entropy as cross_entropy
 
 LABEL_MODES = ("soft", "hard")
@@ -33,10 +35,8 @@ class RiskEstimate:
     stderr: float
 
     def __post_init__(self):
-        if self.num_terms < 1:
-            raise InvalidInputError(f"num_terms must be >= 1, got {self.num_terms}")
-        if not np.isfinite(self.stderr) or self.stderr < 0.0:
-            raise InvalidInputError(f"stderr must be >= 0, got {self.stderr}")
+        check_number("num_terms", self.num_terms, 1, integral=True)
+        check_number("stderr", self.stderr, 0)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class VicinalParams:
     virtual_label: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_prime <= 1.0:
-            raise InvalidInputError(
-                f"lambda_prime must lie in [0, 1], got {self.lambda_prime}"
-            )
+        check_number("lambda_prime", self.lambda_prime, 0, 1)
         total = float(np.sum(self.virtual_label))
         if abs(total - 1.0) > 1e-9:
             raise InvalidInputError(f"virtual label sums to {total}, expected 1")
@@ -108,8 +105,7 @@ def vicinal_risk(
     ``draws`` samples, while memory grows with the dataset, not with
     ``draws``.
     """
-    if draws < 1:
-        raise InvalidInputError(f"draws must be >= 1, got {draws}")
+    draws = check_number("draws", draws, 1, integral=True)
     if label_mode not in LABEL_MODES:
         raise InvalidInputError(f"label_mode must be one of {LABEL_MODES}, got {label_mode!r}")
     # One-hot soft labels blend into exactly lam * onehot_i + (1 - lam) * onehot_j.
@@ -136,9 +132,8 @@ def reparameterize(
     The denominator vanishes only at lam = 1 with a unanimous correct vote,
     where the rewrite is undefined.
     """
-    _check_lambda(lam)
-    if annotators < 1:
-        raise InvalidInputError(f"annotator count must be >= 1, got {annotators}")
+    check_number("lam", lam, 0, 1)
+    annotators = check_number("annotators", annotators, 1, integral=True)
     l = decomposition.correct_count
     if l > annotators:
         raise InvalidInputError(f"correct count {l} exceeds annotator count {annotators}")

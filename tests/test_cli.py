@@ -246,6 +246,20 @@ class TestEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_non_tanh_activation_is_an_error(self, split_corpus, tmp_path, capsys):
+        train_path, val_path = split_corpus
+        ckpt = tmp_path / "m.ckpt"
+        _run(capsys, *_train_args(train_path, val_path, ckpt))
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        assert doc["activation"] == "tanh"
+        doc["activation"] = "relu"
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        code, _, err = _run(capsys, "eval", "--checkpoint", str(ckpt),
+                            "--manifest", str(val_path))
+        assert code == 1
+        assert err.startswith("error:") and "activation" in err
+
 
 class TestSweepAlpha:
     def test_single_point_matches_train_plus_eval(self, split_corpus, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dataset container, clip/manifest formats, splitting, and grouping."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ class TestClip:
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvalidInputError):
             Clip(clip_id="a", frames=np.zeros((4, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2, 1), (1, 0, 2, 1), (1, 2, 0, 1), (1, 2, 2, 0)])
+    def test_rejects_zero_size_dimensions(self, shape):
+        with pytest.raises(InvalidInputError, match="T, H, W, Ch >= 1"):
+            Clip(clip_id="z", frames=np.zeros(shape, dtype=np.float32))
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(InvalidInputError):
@@ -456,8 +462,8 @@ class TestStratifiedSplit:
 
     def test_rejects_bad_ratio(self):
         ds = make_dataset(unanimous_rows([0, 1], class_count=2))
-        for ratio in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(InvalidInputError):
+        for ratio in (0.0, 1.0, -0.1, 1.5, math.nan, "0.5", None):
+            with pytest.raises(InvalidInputError, match="ratio"):
                 stratified_split(ds, ratio=ratio, seed=0)
 
     def test_rejects_empty_dataset(self):
@@ -530,6 +536,15 @@ class TestPartitionByAmbiguity:
         )
         assert len(clear) == 6
         assert len(mixed) == 6
+        same = partition_by_ambiguity(
+            self._dataset(), 0.8, balance=True, seed=0, group_size=np.int64(6)
+        )
+        assert [g.ids for g in same] == [clear.ids, mixed.ids]
+        for size in (0, len(self._dataset()) + 1, 1.5, True):
+            with pytest.raises(InvalidInputError, match="group_size"):
+                partition_by_ambiguity(
+                    self._dataset(), 0.8, balance=True, seed=0, group_size=size
+                )
 
     def test_oversampling_duplicates_when_needed(self):
         rows = [[9, 1, 0]] + [[1, 9, 0]] * 5 + [[5, 4, 1]] * 2
@@ -562,8 +577,9 @@ class TestPartitionByAmbiguity:
         ]
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(InvalidInputError):
-            partition_by_ambiguity(self._dataset(), 1.1, balance=False, seed=0)
+        for threshold in (1.1, -0.1, math.nan, "0.5"):
+            with pytest.raises(InvalidInputError, match="threshold"):
+                partition_by_ambiguity(self._dataset(), threshold, balance=False, seed=0)
 
     def test_seed_must_be_a_nonnegative_integer(self):
         for seed in (-1, 2.0, False, None):

@@ -36,6 +36,11 @@ class TestVoteRecord:
         with pytest.raises(InvalidInputError):
             VoteRecord(np.array([1, -1, 0]))
 
+    @pytest.mark.parametrize("counts", [[0.5, 0.7], [2.0, 1.0], [True, False]])
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(InvalidInputError, match="integers"):
+            VoteRecord(counts)
+
     def test_rejects_zero_votes(self):
         with pytest.raises(InvalidInputError):
             VoteRecord(np.zeros(7, dtype=np.int64))

@@ -50,8 +50,8 @@ class TestSampleLambda:
         assert draws.var() == pytest.approx(1.0 / (4.0 * (2.0 * 0.8 + 1.0)), abs=0.005)
 
     def test_rejects_bad_alpha(self, rng):
-        for alpha in (0.0, -1.0, math.nan):
-            with pytest.raises(InvalidInputError):
+        for alpha in (0.0, -1.0, math.nan, "0.8", True):
+            with pytest.raises(InvalidInputError, match="alpha"):
                 sample_lambda(alpha, rng)
 
     def test_coefficient_validates(self):
@@ -94,8 +94,9 @@ class TestMixClips:
 
     def test_rejects_out_of_range_lambda(self):
         a = make_clip("a", value=0.5)
-        with pytest.raises(InvalidInputError):
-            mix_clips(a, a, 1.2)
+        for lam in (1.2, -0.1, math.nan, "0.5", True):
+            with pytest.raises(InvalidInputError, match="lam"):
+                mix_clips(a, a, lam)
 
     def test_default_id_names_both_sources(self):
         a = make_clip("a", value=0.5)
@@ -212,9 +213,11 @@ class TestMidasBatch:
         with pytest.raises(AmbiguousLabelError):
             midas_batch(ds, batch_size=2, alpha=0.8, rng=rng)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, "0.8", None, True])
+    @pytest.mark.parametrize("alpha", [
+        0.0, -1.0, math.nan, math.inf, "0.8", None, True, np.bool_(True), 10**400,
+    ])
     def test_rejects_bad_alpha(self, rng, alpha):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="alpha"):
             midas_batch(self._dataset(), batch_size=4, alpha=alpha, rng=rng)
 
     def test_samples_are_views_of_the_arrays(self, rng):

@@ -574,7 +574,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value", [
         ("target_hw", "ab"), ("target_hw", [4]), ("target_hw", [4, 4, 4]),
         ("target_hw", [0, 4]), ("target_hw", [4, 2.0]), ("target_hw", [True, 4]),
-        ("layer_sizes", [6, True, 3]),
+        ("layer_sizes", [6, True, 3]), ("layer_sizes", "ab"), ("layer_sizes", None),
+        ("activation", "relu"),
     ])
     def test_rejects_invalid_header_sizes(self, rng, tmp_path, key, value):
         path = tmp_path / "m.ckpt"

@@ -81,7 +81,7 @@ class TestSynthConfig:
         "annotators", "seed",
     ])
     def test_int_fields_reject_other_types(self, name):
-        for value in (2.5, 3.0, True, "7", None):
+        for value in (2.5, 3.0, True, "7", None, np.float64(3.0), np.bool_(True)):
             with pytest.raises(InvalidInputError, match=name):
                 SynthConfig(**{name: value})
 
