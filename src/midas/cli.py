@@ -2,16 +2,13 @@
 
 Every subcommand is deterministic under ``--seed`` (bit-identical output
 files across reruns). Diagnostics go to standard error; data goes to files
-or standard output. Exit code 0 means no error. The ``MIDAS_SEED``
-environment variable overrides the built-in default of ``--seed``; an
-explicit flag still wins.
+or standard output. Exit code 0 means no error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +28,7 @@ from .dataset import (
 from .errors import InvalidInputError, MidasError
 from .labels import filter_unresolved
 from .metrics import coexistence, coexistence_to_csv, report
-from .mixer import midas_batch
+from .mixer import DEFAULT_ALPHA, midas_batch
 from .model import (
     LABEL_MODES,
     Classifier,
@@ -49,16 +46,6 @@ from .vicinal import LABEL_MODES as MIX_LABEL_MODES, empirical_risk, vicinal_ris
 DEFAULT_GRID = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
 _CLI_LABEL_MODES = tuple(m.replace("_", "-") for m in LABEL_MODES)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("MIDAS_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInputError(f"MIDAS_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -145,7 +132,7 @@ def cmd_train(args) -> int:
     val_set = load_manifest(args.val)
     config = _train_config(args)
     model, history = train(train_set, config, validation=val_set)
-    save_checkpoint(model, args.out, config=config)
+    save_checkpoint(model, args.out, config)
     history_path = args.history or f"{args.out}.history.json"
     _emit(
         {
@@ -263,7 +250,6 @@ def cmd_mix(args) -> int:
     mixed = LabeledDataset(
         batch.clips, dataset.votes[dominant], tuple(f"mix-{k:05d}" for k in range(count)),
         class_names=dataset.class_names,
-        provenance=f"mix(seed={args.seed})",
     )
     sidecar = [
         {"lambda": lam, "source_i": dataset.ids[i], "source_j": dataset.ids[j],
@@ -310,23 +296,20 @@ def cmd_risk(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_train_flags(
-    p: argparse.ArgumentParser, seed: int, labels: str | None = "midas"
-) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, labels: str | None = "midas") -> None:
     if labels is not None:
         p.add_argument("--labels", choices=_CLI_LABEL_MODES, default=labels,
                        help="training target mode")
-    p.add_argument("--alpha", type=float, default=0.8, help="Beta concentration")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="Beta concentration")
     p.add_argument("--normalize", choices=("on", "off"), default="on",
                    help="softmax-renormalize mixed labels")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed = _default_seed()
     parser = argparse.ArgumentParser(
         prog="midas",
         description="Soft-label clip mixing: data tooling, training, and analysis.",
@@ -347,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of two-class mixture samples")
     p.add_argument("--annotators", type=int, default=10)
     p.add_argument("--tau", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("aggregate", help="drop tie-voted clips from a manifest")
@@ -360,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="output prefix; writes <out>_train.json and <out>_val.json")
     p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train the desk-scale classifier")
@@ -369,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None,
                    help="history JSON path (default: <out>.history.json)")
-    _add_train_flags(p, seed)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -383,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True, help="validation manifest")
     p.add_argument("--grid", default=DEFAULT_GRID, help="comma-separated alphas")
     p.add_argument("--out", default=None, help="table path (default: stdout)")
-    _add_train_flags(p, seed)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("analyze", help="coexistence matrix and max-vote histogram")
@@ -402,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.8,
                    help="train/validation ratio for the common split")
     p.add_argument("--out", default=None, help="table path (default: stdout)")
-    _add_train_flags(p, seed, labels=None)  # trains both soft and midas cells
+    _add_train_flags(p, labels=None)  # trains both soft and midas cells
     p.set_defaults(func=cmd_ambiguity_ablation)
 
     p = sub.add_parser("mix", help="emit mixed clips as a manifest plus sidecar")
@@ -411,21 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="sample count (default: dataset size)")
     p.add_argument("--labels", choices=MIX_LABEL_MODES, default="soft")
-    p.add_argument("--alpha", type=float, default=0.8)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--normalize", choices=("on", "off"), default="on")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("risk", help="empirical or mixed-pair risk of a checkpoint")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--alpha", type=float, default=0.8)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--labels", choices=MIX_LABEL_MODES, default="soft")
     p.add_argument("--empirical", action="store_true",
                    help="average over the dataset instead of mixed draws")
     p.add_argument("--out", default=None, help="JSON path (default: stdout)")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_risk)
 
     return parser

@@ -101,7 +101,6 @@ class LabeledDataset:
     ids: tuple[str, ...] = field(repr=False)
     scenarios: tuple[str | None, ...] | None = field(default=None, repr=False)
     class_names: tuple[str, ...] = CLASS_NAMES
-    provenance: str = ""
     soft: np.ndarray = field(init=False, repr=False)
     hard: np.ndarray = field(init=False, repr=False)
 
@@ -190,16 +189,13 @@ def _reject_first(ids, bad, problem: str, error=InvalidInputError) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SplitPair:
-    """A stratified train/validation division and the seed that produced it."""
+    """A stratified train/validation division."""
 
     train: LabeledDataset
     validation: LabeledDataset
-    seed: int
 
 
-def build_dataset(
-    clips, vote_records, class_names=CLASS_NAMES, provenance: str = "", scenarios=None
-) -> LabeledDataset:
+def build_dataset(clips, vote_records, class_names=CLASS_NAMES, scenarios=None) -> LabeledDataset:
     """Assemble a dataset from parallel ``Clip`` and ``VoteRecord`` sequences."""
     clips = list(clips)
     vote_records = list(vote_records)
@@ -215,7 +211,7 @@ def build_dataset(
     votes = np.array([v.counts for v in vote_records], dtype=np.int64)
     return LabeledDataset(
         frames.reshape((len(ids),) + shape), votes.reshape(len(ids), len(class_names)),
-        ids, scenarios, class_names=tuple(class_names), provenance=provenance,
+        ids, scenarios, class_names=tuple(class_names),
     )
 
 
@@ -385,8 +381,7 @@ def load_manifest(path) -> LabeledDataset:
 
     try:
         dataset = LabeledDataset(
-            frames, votes, tuple(ids), tuple(scenarios),
-            class_names=tuple(class_names), provenance=path.name,
+            frames, votes, tuple(ids), tuple(scenarios), class_names=tuple(class_names)
         )
     except InvalidInputError as exc:
         raise MalformedRecordError(str(exc)) from exc
@@ -439,7 +434,6 @@ def stratified_split(dataset: LabeledDataset, ratio: float, seed: int) -> SplitP
     return SplitPair(
         train=dataset.subset(np.flatnonzero(is_train)),
         validation=dataset.subset(np.flatnonzero(~is_train)),
-        seed=seed,
     )
 
 
@@ -485,7 +479,6 @@ def partition_by_ambiguity(
     threshold: float,
     balance: bool,
     seed: int,
-    group_size: int | None = None,
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Divide into a clear-expression group and a mixed-expression group.
 
@@ -494,8 +487,7 @@ def partition_by_ambiguity(
     replacement) of the whole dataset, regardless of soft values. With
     ``balance`` set, both groups are resampled (duplicating to oversample,
     seeded subsampling to downsample) so their per-class distributions match
-    the input dataset's and both have ``group_size`` entries
-    (default: the clear group's size).
+    the input dataset's and both keep the clear group's size.
     """
     check_number("threshold", threshold, 0, 1)
     if not len(dataset):
@@ -506,13 +498,11 @@ def partition_by_ambiguity(
     clear = np.flatnonzero(dataset.soft.max(axis=1) > threshold)
     if not clear.size:
         raise EmptyClearGroupError(f"no sample has max soft label > {threshold}")
-    size = clear.size if group_size is None else check_number(
-        "group_size", group_size, 1, len(dataset), integral=True)
-    mixed = np.sort(rng.choice(len(dataset), size=size, replace=False))
+    mixed = np.sort(rng.choice(len(dataset), size=clear.size, replace=False))
 
     if balance:
         targets = _proportional_targets(
-            np.bincount(dataset.hard, minlength=dataset.class_count), size
+            np.bincount(dataset.hard, minlength=dataset.class_count), clear.size
         )
         clear = _resample_to_targets(dataset, clear, targets, rng)
         mixed = _resample_to_targets(dataset, mixed, targets, rng)

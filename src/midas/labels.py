@@ -75,6 +75,7 @@ class LabelDecomposition:
 
 def one_hot(index: int, class_count: int) -> np.ndarray:
     """One-hot probability vector with a 1 at ``index``."""
+    class_count = check_number("class_count", class_count, 1, integral=True)
     index = check_number("index", index, 0, class_count - 1, integral=True)
     vec = np.zeros(class_count, dtype=np.float64)
     vec[index] = 1.0

@@ -173,21 +173,11 @@ def report(model, dataset: LabeledDataset, target_hw=(4, 4)) -> dict:
     }
 
 
-def _write_matrix_csv(matrix: np.ndarray, class_names, path, fmt) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["class"] + list(class_names))
-        for name, row in zip(class_names, matrix):
-            writer.writerow([name] + [fmt(v) for v in row])
-
-
-def confusion_to_csv(cm: ConfusionMatrix, class_names, path) -> None:
-    if len(class_names) != cm.class_count:
-        raise InvalidInputError("class name count does not match the matrix")
-    _write_matrix_csv(cm.counts, class_names, path, lambda v: str(int(v)))
-
-
 def coexistence_to_csv(matrix: CoexistenceMatrix, class_names, path) -> None:
     if len(class_names) != matrix.ratios.shape[0]:
         raise InvalidInputError("class name count does not match the matrix")
-    _write_matrix_csv(matrix.ratios, class_names, path, lambda v: f"{v:.6f}")
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(["class"] + list(class_names))
+        for name, row in zip(class_names, matrix.ratios):
+            writer.writerow([name] + [f"{v:.6f}" for v in row])

@@ -26,14 +26,12 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class MixCoefficient:
-    """A blend weight in [0, 1] and the Beta concentration that produced it."""
+    """A blend weight in [0, 1]."""
 
     lam: float
-    alpha: float
 
     def __post_init__(self):
         check_number("lam", self.lam, 0, 1)
-        check_number("alpha", self.alpha, 0, open=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +43,12 @@ class MixSample:
     lam: float
     source_i: str
     source_j: str
-    normalized: bool = True
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> MixCoefficient:
     """Draw a blend weight from Beta(alpha, alpha)."""
     check_number("alpha", alpha, 0, open=True)
-    return MixCoefficient(lam=float(rng.beta(alpha, alpha)), alpha=alpha)
+    return MixCoefficient(lam=float(rng.beta(alpha, alpha)))
 
 
 def _blend_chunks(frames, left, right, lams):
@@ -130,7 +127,6 @@ class MixedBatch:
     left: np.ndarray
     right: np.ndarray
     ids: tuple[str, ...] = field(repr=False)
-    normalized: bool = True
 
     @cached_property
     def samples(self) -> tuple[MixSample, ...]:
@@ -138,7 +134,7 @@ class MixedBatch:
         ids = self.ids
         return tuple(
             MixSample(Clip(f"mix({ids[i]},{ids[j]})", self.clips[k]), self.labels[k],
-                      float(self.lams[k]), ids[i], ids[j], self.normalized)
+                      float(self.lams[k]), ids[i], ids[j])
             for k, (i, j) in enumerate(zip(self.left.tolist(), self.right.tolist()))
         )
 
@@ -191,5 +187,5 @@ def midas_batch(
         clips[rows] = block
     return MixedBatch(
         clips, _blend_labels(dataset.soft, left, right, lams, normalize), lams, left, right,
-        dataset.ids, normalize,
+        dataset.ids,
     )

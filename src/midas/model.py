@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .labels import LOG_CLAMP, softmax_rows
 from .metrics import confusion, uar, war
-from .mixer import _blend_chunks, _blend_labels, draw_pairs
+from .mixer import DEFAULT_ALPHA, _blend_chunks, _blend_labels, draw_pairs
 
 LABEL_MODES = ("hard", "soft", "midas", "midas_hard")
 
@@ -42,7 +43,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 0.1
-    alpha: float = 0.8
+    alpha: float = DEFAULT_ALPHA
     label_mode: str = "midas"
     seed: int = 0
     normalize: bool = True
@@ -65,8 +66,13 @@ class TrainConfig:
         object.__setattr__(self, "target_hw", check_sizes("target_hw", self.target_hw, 2))
 
     def hash(self) -> str:
-        doc = json.dumps(asdict(self), sort_keys=True)
+        """SHA-256 of the fields as sorted JSON; numpy reals are written as Python numbers."""
+        doc = json.dumps(asdict(self), sort_keys=True, default=_plain_number)
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def _plain_number(value):
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 @dataclass(eq=False)
@@ -371,13 +377,14 @@ def train(
 # Checkpoint I/O: one JSON header line, then raw little-endian f32 parameters
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: Classifier, path, config: TrainConfig | None = None) -> None:
+def save_checkpoint(model: Classifier, path, config: TrainConfig) -> None:
+    """Write ``model`` with a header naming the hash and ``target_hw`` of ``config``."""
     header = {
         "format": _CKPT_MAGIC.decode("ascii"),
         "layer_sizes": list(model.layer_sizes),
         "activation": "tanh",
-        "config_hash": config.hash() if config is not None else "",
-        "target_hw": list(config.target_hw) if config is not None else [4, 4],
+        "config_hash": config.hash(),
+        "target_hw": list(config.target_hw),
     }
     blocks = []
     for w, b in zip(model.weights, model.biases):

@@ -126,9 +126,6 @@ def generate(config: SynthConfig) -> LabeledDataset:
             votes[row] = simulate_annotators(mixture, config.annotators, config.tau, rng).counts
             ids.append(f"synth-{c:02d}-{k:04d}")
 
-    dataset = LabeledDataset(
-        frames, votes, tuple(ids),
-        class_names=config.class_names(),
-        provenance=f"synth(seed={config.seed})",
+    return filter_unresolved(
+        LabeledDataset(frames, votes, tuple(ids), class_names=config.class_names())
     )
-    return filter_unresolved(dataset)

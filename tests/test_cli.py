@@ -440,38 +440,6 @@ class TestRisk:
         assert json.loads(out)["draws"] == 16
 
 
-class TestSeedEnvironment:
-    def test_env_var_sets_the_default(self, tmp_path, capsys, monkeypatch):
-        args = ["synth", "--classes", "2", "--per-class", "3", "--frames", "2",
-                "--height", "4", "--width", "4", "--rho", "0.0"]
-        (tmp_path / "env").mkdir()
-        (tmp_path / "flag").mkdir()
-        monkeypatch.setenv("MIDAS_SEED", "77")
-        _run(capsys, *args, "--out", str(tmp_path / "env/d.json"))
-        monkeypatch.delenv("MIDAS_SEED")
-        _run(capsys, *args, "--seed", "77", "--out", str(tmp_path / "flag/d.json"))
-        assert (tmp_path / "env/d.json").read_bytes() == (
-            tmp_path / "flag/d.json"
-        ).read_bytes()
-
-    def test_explicit_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        args = ["synth", "--classes", "2", "--per-class", "3", "--frames", "2",
-                "--height", "4", "--width", "4", "--rho", "0.0"]
-        monkeypatch.setenv("MIDAS_SEED", "77")
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        _run(capsys, *args, "--seed", "5", "--out", str(tmp_path / "a/d.json"))
-        monkeypatch.delenv("MIDAS_SEED")
-        _run(capsys, *args, "--seed", "5", "--out", str(tmp_path / "b/d.json"))
-        assert (tmp_path / "a/d.json").read_bytes() == (tmp_path / "b/d.json").read_bytes()
-
-    def test_invalid_env_seed_is_an_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MIDAS_SEED", "not-a-number")
-        code, _, err = _run(capsys, "analyze", "--manifest", str(tmp_path / "x.json"))
-        assert code == 1
-        assert err.startswith("error:")
-
-
 class TestErrorPaths:
     def test_missing_manifest(self, tmp_path, capsys):
         code, _, err = _run(capsys, "analyze", "--manifest",

@@ -530,30 +530,14 @@ class TestPartitionByAmbiguity:
             counts = np.bincount([e.hard for e in group.entries], minlength=3)
             assert counts.tolist() == [2, 2, 0]
 
-    def test_group_size_override(self):
-        clear, mixed = partition_by_ambiguity(
-            self._dataset(), 0.8, balance=True, seed=0, group_size=6
-        )
-        assert len(clear) == 6
-        assert len(mixed) == 6
-        same = partition_by_ambiguity(
-            self._dataset(), 0.8, balance=True, seed=0, group_size=np.int64(6)
-        )
-        assert [g.ids for g in same] == [clear.ids, mixed.ids]
-        for size in (0, len(self._dataset()) + 1, 1.5, True):
-            with pytest.raises(InvalidInputError, match="group_size"):
-                partition_by_ambiguity(
-                    self._dataset(), 0.8, balance=True, seed=0, group_size=size
-                )
-
     def test_oversampling_duplicates_when_needed(self):
         rows = [[9, 1, 0]] + [[1, 9, 0]] * 5 + [[5, 4, 1]] * 2
         ds = make_dataset(rows)
-        clear, _ = partition_by_ambiguity(ds, 0.8, balance=True, seed=0, group_size=8)
+        clear, _ = partition_by_ambiguity(ds, 0.8, balance=True, seed=0)
         counts = np.bincount([e.hard for e in clear.entries], minlength=3)
-        # targets follow the 3/5(+2 ambiguous class-0) split of the input
-        assert counts.sum() == 8
-        assert counts[0] >= 2  # the single clear class-0 clip was duplicated
+        # six clear clips; targets follow the 3/5 (2 ambiguous class-0) split of the input
+        assert counts.tolist() == [2, 4, 0]
+        assert clear.ids.count(ds.ids[0]) == 2  # the single clear class-0 clip was duplicated
 
     def test_missing_class_in_group_raises(self):
         rows = [[9, 1, 0], [9, 1, 0], [4, 6, 0], [4, 6, 0]]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from midas.dataset import partition_by_ambiguity, stratified_split
+from midas.dataset import stratified_split
 from midas.errors import InvalidInputError, check_number, check_sizes
 from midas.labels import LabelDecomposition, one_hot
 from midas.mixer import draw_pairs, midas_batch, mix_clips, mix_labels
@@ -89,9 +89,8 @@ BAD_ARGUMENTS = {
     "vicinal_risk draws": (
         "draws", lambda rng: vicinal_risk(_uniform, _pair_dataset(), 0.8, 2.5, "soft", rng)),
     "stratified_split ratio": ("ratio", lambda rng: stratified_split(_pair_dataset(), "0.5", 0)),
-    "partition_by_ambiguity group_size": (
-        "group_size", lambda rng: partition_by_ambiguity(
-            _pair_dataset(), 0.5, balance=False, seed=0, group_size=1.5)),
+    "one_hot class_count str": ("class_count", lambda rng: one_hot(0, "3")),
+    "one_hot class_count float": ("class_count", lambda rng: one_hot(0, 2.5)),
     "reparameterize annotators": (
         "annotators", lambda rng: reparameterize(0.5, _decomposition, one_hot(0, 2), "x")),
 }

@@ -14,7 +14,6 @@ from midas.metrics import (
     coexistence,
     coexistence_to_csv,
     confusion,
-    confusion_to_csv,
     per_class_accuracy,
     report,
     uar,
@@ -194,16 +193,6 @@ class TestReport:
 
 
 class TestCsv:
-    def test_confusion_round_trip(self, tmp_path):
-        cm = _hand_matrix()
-        path = tmp_path / "cm.csv"
-        confusion_to_csv(cm, ("neg", "pos"), path)
-        with open(path, newline="") as fp:
-            rows = list(csv.reader(fp))
-        assert rows[0] == ["class", "neg", "pos"]
-        assert rows[1] == ["neg", "8", "2"]
-        assert rows[2] == ["pos", "2", "3"]
-
     def test_coexistence_round_trip(self, tmp_path):
         matrix = CoexistenceMatrix(
             ratios=np.array([[0.7, 0.3], [0.25, 0.75]]),
@@ -218,6 +207,7 @@ class TestCsv:
         np.testing.assert_allclose(parsed, matrix.ratios, atol=1e-6)
 
     def test_name_count_must_match(self, tmp_path):
-        cm = _hand_matrix()
-        with pytest.raises(InvalidInputError):
-            confusion_to_csv(cm, ("only",), tmp_path / "x.csv")
+        matrix = CoexistenceMatrix(ratios=np.eye(2), missing=np.array([False, False]))
+        with pytest.raises(InvalidInputError, match="class name count"):
+            coexistence_to_csv(matrix, ("only",), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()

@@ -465,6 +465,12 @@ class TestConfig:
         assert a.hash() != c.hash()
         assert len(a.hash()) == 64
 
+    def test_hash_of_python_numbers_is_pinned(self):
+        assert TrainConfig().hash() == (
+            "32f22dc559d42189ee49c8be70508418948f5308106cf993fed6c2b0b452db80")
+        assert TrainConfig(learning_rate=1, alpha=0.5).hash() == (
+            "98ba34ef2c7f21b2018851b12fe89d1e37f3acd80c8f0052b7a473871e476363")
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=0)
@@ -502,8 +508,11 @@ class TestConfig:
         for value in ("0.1", None, True, np.bool_(True), [0.1], math.nan, math.inf, 10**400):
             with pytest.raises(InvalidInputError, match=name):
                 TrainConfig(**{name: value})
-        for value in (1, 0.25, np.float32(0.5)):
-            assert getattr(TrainConfig(**{name: value}), name) == value
+        for value in (1, 0.25, np.float32(0.5), np.float32(0.1), np.float64(0.1), np.int64(2)):
+            config = TrainConfig(**{name: value})
+            assert getattr(config, name) == value
+            plain = value.item() if isinstance(value, np.generic) else value
+            assert config.hash() == TrainConfig(**{name: plain}).hash()  # numpy reals hash too
 
 
 class TestCheckpoint:
@@ -534,12 +543,16 @@ class TestCheckpoint:
         save_checkpoint(loaded, second, cfg)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_save_without_config(self, rng, tmp_path):
+    def test_header_without_config_loads_with_defaults(self, rng, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(self._model(rng), path)
-        _, meta = load_checkpoint(path)
-        assert meta["config_hash"] == ""
-        assert meta["target_hw"] == (4, 4)
+        save_checkpoint(self._model(rng), path, TrainConfig(target_hw=(2, 3)))
+        header, blob = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        del doc["config_hash"], doc["target_hw"]
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"config_hash": "", "target_hw": (4, 4)}
+        assert loaded.layer_sizes == (6, 4, 3)
 
     def test_rejects_garbage_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -159,7 +159,3 @@ class TestGenerate:
             counts = entry.votes.counts
             assert np.count_nonzero(counts == counts.max()) == 1
             assert entry.hard is not None
-
-    def test_provenance_records_seed(self):
-        ds = generate(SynthConfig(class_count=2, samples_per_class=2, rho=0.0, seed=42))
-        assert "42" in ds.provenance
