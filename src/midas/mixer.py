@@ -57,9 +57,12 @@ def _blend_chunks(frames, left, right, lams):
     The row slices are consecutive and cover ``lams``. For r = rows.start + k,
     block[k] = clip(lams[r] * frames[left[r]] + (1 - lams[r]) * frames[right[r]], 0, 1).
     The blend runs in float64, which keeps the endpoints exact
-    (1.0*x + 0.0*y == x), and is rounded to float32 in ``block``. The scratch
-    space and the block are reused from one chunk to the next, so they do not
-    grow with the batch, and a block is only valid until the next one.
+    (1.0*x + 0.0*y == x), and is rounded to float32 in ``block``. The clip
+    needs no pass of its own: frames lie in [0, 1], so the float64 blend is
+    never negative and exceeds 1 by at most a few float64 ulps, which the
+    rounding to float32 takes back to 1.0. The scratch space and the block
+    are reused from one chunk to the next, so they do not grow with the
+    batch, and a block is only valid until the next one.
     """
     step = max(1, _CHUNK_BYTES // (frames[0].size * 8))
     shape = (min(step, len(lams)),) + frames.shape[1:]
@@ -69,10 +72,13 @@ def _blend_chunks(frames, left, right, lams):
         rows = slice(start, start + step)
         lam = lams[rows].reshape((-1,) + (1,) * (frames.ndim - 1))
         m = len(lam)
-        np.multiply(frames[left[rows]], lam, out=a[:m])
-        np.multiply(frames[right[rows]], 1.0 - lam, out=b[:m])
+        a[:m] = frames[left[rows]]
+        a[:m] *= lam
+        b[:m] = frames[right[rows]]
+        b[:m] *= 1.0 - lam
         a[:m] += b[:m]
-        yield rows, np.clip(a[:m], 0.0, 1.0, out=block[:m])
+        block[:m] = a[:m]
+        yield rows, block[:m]
 
 
 def _blend_labels(labels, left, right, lams, normalize: bool) -> np.ndarray:

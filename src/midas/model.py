@@ -184,13 +184,17 @@ def _forward_cached(model: Classifier, x: np.ndarray):
     return a, acts
 
 
-def forward_batch(model: Classifier, features: np.ndarray) -> np.ndarray:
-    """Probabilities for a (B, D) feature matrix; rows sum to 1."""
-    features = np.asarray(features, dtype=np.float64)
+def _check_width(model: Classifier, features: np.ndarray) -> None:
     if features.ndim != 2 or features.shape[1] != model.layer_sizes[0]:
         raise ShapeMismatchError(
             f"features {features.shape} do not match input size {model.layer_sizes[0]}"
         )
+
+
+def forward_batch(model: Classifier, features: np.ndarray) -> np.ndarray:
+    """Probabilities for a (B, D) feature matrix; rows sum to 1."""
+    features = np.asarray(features, dtype=np.float64)
+    _check_width(model, features)
     probs, _ = _forward_cached(model, features)
     return probs
 
@@ -232,6 +236,7 @@ def gradient(model: Classifier, features: np.ndarray, targets: np.ndarray):
     targets = np.asarray(targets, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise InvalidInputError("gradient needs a nonempty (B, D) feature matrix")
+    _check_width(model, features)
     if targets.shape != (features.shape[0], model.layer_sizes[-1]):
         raise ShapeMismatchError(
             f"targets {targets.shape} do not match batch {features.shape[0]} x C {model.layer_sizes[-1]}"
@@ -255,9 +260,18 @@ def gradient(model: Classifier, features: np.ndarray, targets: np.ndarray):
 # Training
 # ---------------------------------------------------------------------------
 
-def _scores(model: Classifier, features: np.ndarray, dataset: LabeledDataset):
-    """(UAR, WAR) of argmax predictions on ``features``, the featurized ``dataset``."""
-    cm = confusion(forward_batch(model, features).argmax(axis=1), dataset.hard, dataset.class_count)
+def _scores(model: Classifier, features: np.ndarray, dataset: LabeledDataset, block_rows=None):
+    """(UAR, WAR) of argmax predictions on ``features``, the featurized ``dataset``.
+
+    The rows are forwarded ``block_rows`` at a time (all at once by default)
+    and their argmaxes concatenated; a row's prediction depends on that row alone.
+    """
+    step = block_rows or len(features)
+    predicted = np.concatenate([
+        forward_batch(model, features[start:start + step]).argmax(axis=1)
+        for start in range(0, len(features), step)
+    ])
+    cm = confusion(predicted, dataset.hard, dataset.class_count)
     return uar(cm), war(cm)
 
 
@@ -294,16 +308,21 @@ def train(
     instead. Everything is driven by one generator seeded from the config,
     so a run is a pure function of (dataset, config).
 
-    Each split is featurized once, before the first epoch, and every epoch
-    is scored on the cached validation features. A mixed epoch draws its
-    pairs and weights as ``midas_batch`` does and blends and featurizes the
-    clips chunk by chunk, so the features are those of ``midas_batch``'s
-    clips, bit for bit, while no whole batch of mixed clips is ever held.
+    Each split is featurized once, before the first epoch (mixing modes skip
+    a separate training split: their epochs featurize their own clips). Every
+    epoch is scored on the cached validation features, ``config.batch_size``
+    rows at a time: a product larger than an SGD step's would start OpenBLAS's
+    thread pool, whose workers then spin for the rest of the run. A mixed
+    epoch draws its pairs and weights as ``midas_batch`` does and blends and
+    featurizes the clips chunk by chunk, so the features are those of
+    ``midas_batch``'s clips, bit for bit, while no whole batch of mixed clips
+    is ever held.
     """
     if not len(dataset):
         raise EmptyDatasetError("cannot train on an empty dataset")
     require_resolved(dataset)
-    if config.label_mode in ("midas", "midas_hard") and len(dataset) < 2:
+    mixing = config.label_mode in ("midas", "midas_hard")
+    if mixing and len(dataset) < 2:
         raise EmptyDatasetError("mixing modes need at least 2 clips")
     if validation is None:
         validation = dataset
@@ -311,12 +330,13 @@ def train(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    features = featurize_dataset(dataset, config.target_hw)
-    val_features = (
-        features if validation is dataset else featurize_dataset(validation, config.target_hw)
-    )
-    n, dim = features.shape
-    model = init_classifier(dim, dataset.class_count, config.hidden, rng)
+    val_features = featurize_dataset(validation, config.target_hw)
+    if validation is dataset:
+        features = val_features
+    elif not mixing:
+        features = featurize_dataset(dataset, config.target_hw)
+    n = len(dataset)
+    model = init_classifier(val_features.shape[1], dataset.class_count, config.hidden, rng)
 
     # hard_relabeled's soft rows are exact one-hots (total / total == 1.0).
     source = hard_relabeled(dataset) if config.label_mode in ("hard", "midas_hard") else dataset
@@ -329,7 +349,7 @@ def train(
     best_model = model.copy()
 
     for epoch in range(config.epochs):
-        if config.label_mode in ("hard", "soft"):
+        if not mixing:
             order = rng.permutation(n)
             epoch_x = features[order]
             epoch_t = source.soft[order]
@@ -358,7 +378,7 @@ def train(
                 f"(loss={epoch_loss}, lr={config.learning_rate})"
             )
 
-        v_uar, v_war = _scores(model, val_features, validation)
+        v_uar, v_war = _scores(model, val_features, validation, config.batch_size)
         losses[epoch] = epoch_loss
         val_uars[epoch] = v_uar
         val_wars[epoch] = v_war

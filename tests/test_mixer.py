@@ -18,6 +18,7 @@ from midas.labels import one_hot
 from midas.mixer import (
     DEFAULT_ALPHA,
     MixCoefficient,
+    _blend_chunks,
     midas_batch,
     mix_clips,
     mix_labels,
@@ -28,6 +29,25 @@ from midas.model import TrainConfig, train
 from conftest import make_clip, make_dataset, soft_labels, unanimous_rows
 
 _lam = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+_BELOW_ONE = float(np.nextafter(np.float32(1), np.float32(0)))
+_pixel = st.one_of(st.sampled_from([0.0, 1.0, _BELOW_ONE]),
+                   st.floats(0.0, 1.0, width=32))
+
+
+def _ulps_from_half(k: int) -> float:
+    lam = 0.5
+    for _ in range(abs(k)):
+        lam = np.nextafter(lam, np.sign(k))
+    return float(lam)
+
+
+_blend_lam = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5]),
+    st.integers(-4, 4).map(_ulps_from_half),
+    st.tuples(st.sampled_from([0.1, 0.8, 4.0]), st.integers(0, 2**32 - 1)).map(
+        lambda draw: float(np.random.default_rng(draw[1]).beta(draw[0], draw[0]))),
+)
 
 
 class TestSampleLambda:
@@ -101,6 +121,23 @@ class TestMixClips:
         a = make_clip("a", value=0.5)
         b = make_clip("b", value=0.5)
         assert mix_clips(a, b, 0.5).clip_id == "mix(a,b)"
+
+
+class TestBlendWithoutClamp:
+    """``_blend_chunks`` equals the clamped float64 blend rounded to float32, bit for bit."""
+
+    @given(st.lists(_pixel, min_size=24, max_size=24),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _blend_lam),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_clipped_float64_blend(self, pixels, pairs):
+        frames = np.array(pixels, dtype=np.float32).reshape(3, 2, 2, 2, 1)
+        left, right, lams = (np.array(column) for column in zip(*pairs))
+        lams = lams.astype(np.float64)
+        got = np.concatenate([block.copy() for _, block in _blend_chunks(frames, left, right, lams)])
+        lam = lams.reshape(-1, 1, 1, 1, 1)
+        blend = lam * frames[left].astype(np.float64) + (1.0 - lam) * frames[right].astype(np.float64)
+        assert got.tobytes() == np.clip(blend, 0.0, 1.0).astype(np.float32).tobytes()
 
 
 class TestMixLabels:

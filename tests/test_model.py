@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from midas import mixer
+from midas import mixer, model as model_module
 from midas.dataset import Clip, build_dataset, hard_relabeled
 from midas.errors import (
     AmbiguousLabelError,
@@ -264,6 +264,11 @@ class TestGradient:
         with pytest.raises(InvalidInputError):
             gradient(model, np.zeros((0, 3)), np.zeros((0, 4)))
 
+    def test_rejects_mismatched_feature_width(self, rng):
+        model = init_classifier(3, 4, (2,), rng)
+        with pytest.raises(ShapeMismatchError, match=r"features \(2, 5\) do not match input size 3"):
+            gradient(model, np.zeros((2, 5)), np.zeros((2, 4)))
+
 
 def _separable_dataset():
     """Two classes whose clips are constant 0.1 vs 0.9."""
@@ -425,13 +430,15 @@ class TestFeaturizeEachSplitOnce:
         real_featurize = featurize_frames
 
         def counting(frames, target_hw):
-            calls.append(frames is val.frames)
+            calls.append("val" if frames is val.frames else "train" if frames is ds.frames else "mixed")
             return real_featurize(frames, target_hw)
 
         monkeypatch.setattr("midas.model.featurize_frames", counting)
         cfg = TrainConfig(epochs=5, label_mode=mode, hidden=(4,), target_hw=(2, 2))
         train(ds, cfg, validation=val)
-        assert calls.count(True) == 1
+        assert calls.count("val") == 1
+        # mixed epochs featurize their own clips, so the training split is never featurized whole
+        assert calls.count("train") == (0 if mode in ("midas", "midas_hard") else 1)
 
     @pytest.mark.parametrize("mode", LABEL_MODES)
     def test_no_validation_set_scores_the_training_set(self, mode):
@@ -443,6 +450,14 @@ class TestFeaturizeEachSplitOnce:
                         m2.weights + m2.biases + [h2.loss, h2.val_uar, h2.val_war]):
             assert a.tobytes() == b.tobytes()
         assert h1.best_epoch == h2.best_epoch
+
+    @pytest.mark.parametrize("mode", LABEL_MODES)
+    def test_validation_of_another_width_is_a_shape_mismatch(self, mode):
+        ds = make_dataset(_varied_votes(9), seed=2)
+        val = make_dataset(_varied_votes(4, seed=3), shape=(3, 4, 4, 3), seed=3)
+        cfg = TrainConfig(epochs=2, label_mode=mode, hidden=(4,), target_hw=(2, 2))
+        with pytest.raises(ShapeMismatchError):
+            train(ds, cfg, validation=val)
 
     def test_mixed_training_holds_no_mixed_batch(self):
         ds = make_dataset(unanimous_rows([k % 4 for k in range(200)]), shape=(8, 32, 32, 3))
@@ -599,3 +614,41 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
         with pytest.raises(MalformedRecordError):
             load_checkpoint(path)
+
+
+class TestBlockedScoring:
+    """``train`` scores validation in blocks of at most ``batch_size`` rows."""
+
+    @pytest.mark.parametrize("val_size, batch_size", [(150, 64), (40, 64), (37, 1)])
+    @pytest.mark.parametrize("mode", LABEL_MODES)
+    def test_blocks_give_the_histories_of_whole_set_scoring(
+        self, monkeypatch, mode, val_size, batch_size
+    ):
+        ds = make_dataset(_varied_votes(70, class_count=4), seed=2)
+        val = make_dataset(_varied_votes(val_size, class_count=4, seed=3), seed=3)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, label_mode=mode, seed=1,
+                          hidden=(6,), target_hw=(2, 2))
+        rows = []
+        real_forward = model_module.forward_batch
+
+        def spying(model, features):
+            rows.append(len(features))
+            return real_forward(model, features)
+
+        monkeypatch.setattr(model_module, "forward_batch", spying)
+        blocked = train(ds, cfg, validation=val)
+        assert max(rows) <= batch_size
+        assert sum(rows) == cfg.epochs * val_size
+
+        real_scores = model_module._scores
+        monkeypatch.setattr(model_module, "_scores",
+                            lambda model, features, dataset, block_rows=None:
+                            real_scores(model, features, dataset))
+        rows.clear()
+        whole = train(ds, cfg, validation=val)
+        assert rows == [val_size] * cfg.epochs
+        (m1, h1), (m2, h2) = blocked, whole
+        for a, b in zip(m1.weights + m1.biases + [h1.loss, h1.val_uar, h1.val_war],
+                        m2.weights + m2.biases + [h2.loss, h2.val_uar, h2.val_war]):
+            assert a.tobytes() == b.tobytes()
+        assert h1.best_epoch == h2.best_epoch
